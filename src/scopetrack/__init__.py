@@ -4,7 +4,6 @@ from .assignment import Assignment, CostMatrix, brute_force_solve, solve
 from .losses import LossBreakdown, LossWeights, MatchResult, detr_match, total_loss
 from .metrics import (
     DetEvalResult,
-    MatchingAtAlpha,
     TrackedDet,
     TrackedSequence,
     TrackEvalResult,

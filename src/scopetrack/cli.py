@@ -236,13 +236,10 @@ def _cmd_loss_check(args, file_cfg: dict) -> int:
     weights = _weights(args.weights, file_cfg)
     preds = io.read_stream(args.pred)
     gts = io.read_ground_truth(args.gt)
-    pred_idx = tuple(f.frame_index for f in preds.frames)
-    gt_idx = tuple(f.frame_index for f in gts.frames)
-    if pred_idx != gt_idx:
-        raise DataError(
-            f"prediction frames {pred_idx[:5]} do not align with ground truth "
-            f"{gt_idx[:5]}"
-        )
+    metrics.check_frame_alignment(
+        "prediction", [f.frame_index for f in preds.frames],
+        "ground-truth", [f.frame_index for f in gts.frames],
+    )
     print(json.dumps({"config": {"weights": weights.as_dict()}}))
     for frame, gt_frame in zip(preds.frames, gts.frames):
         breakdown = losses.total_loss(frame, gt_frame, weights, preds.header)

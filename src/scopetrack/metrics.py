@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -59,21 +60,6 @@ class TrackedDet:
 
 
 @dataclass(frozen=True)
-class MatchingAtAlpha:
-    """Per-frame detection matching at one localization threshold.
-
-    Pairs are (gt det index, pred det index) within each frame; every
-    detection is matched at most once per frame.
-    """
-
-    alpha: float
-    pairs_per_frame: tuple[tuple[tuple[int, int], ...], ...]
-    tp: int
-    fp: int
-    fn: int
-
-
-@dataclass(frozen=True)
 class TrackedSequence:
     """Per-frame tracked detections, aligned by explicit frame indices."""
 
@@ -118,12 +104,30 @@ def similarity(a: TrackedDet, b: TrackedDet) -> float:
     return box_iou(a.box, b.box)
 
 
+def check_frame_alignment(a_name: str, a: Sequence[int],
+                          b_name: str, b: Sequence[int]) -> None:
+    """Raise FrameAlignmentError unless two frame-index sequences are equal.
+
+    The message names the first differing position and the frame index each
+    side has there, or the two lengths when one sequence extends the other.
+    """
+    if tuple(a) == tuple(b):
+        return
+    for pos, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            raise FrameAlignmentError(
+                f"{a_name} frames do not align with {b_name}: at position {pos}, "
+                f"{a_name} has frame {x} and {b_name} has frame {y}"
+            )
+    raise FrameAlignmentError(
+        f"{a_name} frames do not align with {b_name}: {a_name} has {len(a)} "
+        f"frames, {b_name} has {len(b)}, the first {min(len(a), len(b))} agree"
+    )
+
+
 def _check_aligned(gt: TrackedSequence, pred: TrackedSequence) -> None:
-    if gt.frame_indices != pred.frame_indices:
-        raise FrameAlignmentError(
-            f"frame indices differ: {gt.frame_indices[:5]}... vs "
-            f"{pred.frame_indices[:5]}..."
-        )
+    check_frame_alignment("ground-truth", gt.frame_indices,
+                          "predicted", pred.frame_indices)
 
 
 def _id_tables(seq: TrackedSequence) -> tuple[dict[int, int], list[int]]:
@@ -140,10 +144,32 @@ def _id_tables(seq: TrackedSequence) -> tuple[dict[int, int], list[int]]:
 
 
 def _sim_matrix(gt_frame, pred_frame) -> np.ndarray:
-    return np.asarray(
-        [[similarity(g, p) for p in pred_frame] for g in gt_frame],
-        dtype=np.float64,
-    )
+    """similarity(g, p) for every pair of one frame, shape (len(gt), len(pred)).
+
+    Box IoU repeats model.box_iou's operations in its order, so each entry
+    equals similarity() bitwise: np.minimum/np.maximum may pick the other
+    sign of a zero than the builtins, but a zero overlap is clamped to +0.0
+    as max(0.0, iw) does. Pairs where both detections carry masks go
+    through similarity() for mask IoU.
+    """
+    if not gt_frame or not pred_frame:
+        return np.zeros((len(gt_frame), len(pred_frame)))
+    g = np.asarray([d.box.as_tuple() for d in gt_frame], dtype=np.float64).reshape(-1, 1, 4)
+    p = np.asarray([d.box.as_tuple() for d in pred_frame], dtype=np.float64).reshape(1, -1, 4)
+    span = np.minimum(g[..., 2:], p[..., 2:]) - np.maximum(g[..., :2], p[..., :2])
+    span = np.where(span > 0.0, span, 0.0)
+    inter = span[..., 0] * span[..., 1]
+    g_area = (g[..., 2] - g[..., 0]) * (g[..., 3] - g[..., 1])
+    p_area = (p[..., 2] - p[..., 0]) * (p[..., 3] - p[..., 1])
+    union = g_area + p_area - inter
+    sims = np.divide(inter, union, out=np.zeros_like(inter), where=~(union <= 0.0))
+    for i, gd in enumerate(gt_frame):
+        if gd.mask is None:
+            continue
+        for j, pd in enumerate(pred_frame):
+            if pd.mask is not None:
+                sims[i, j] = similarity(gd, pd)
+    return sims
 
 
 def _max_match(sims: np.ndarray, feasible: np.ndarray,
@@ -151,11 +177,17 @@ def _max_match(sims: np.ndarray, feasible: np.ndarray,
     """Match maximizing feasible-pair count first, then total weight.
 
     Infeasible pairs cost nothing, so the solver never prefers them over a
-    feasible pair; ties fall back to the solver's lexicographic rule.
+    feasible pair; ties fall back to the solver's lexicographic rule. When
+    no row and no column has two feasible pairs, every feasible cost is
+    strictly negative and the pairs are disjoint, so the optimum holds all
+    of them and is returned without a solve, in the solver's row order.
     """
     n_rows, n_cols = sims.shape
     if n_rows == 0 or n_cols == 0:
         return []
+    rows, cols = (idx.tolist() for idx in np.nonzero(feasible))
+    if len(set(rows)) == len(rows) and len(set(cols)) == len(cols):
+        return list(zip(rows, cols))
     big = 4.0 * (min(n_rows, n_cols) + 1)
     cost = np.where(feasible, -(big + weights), 0.0)
     result = assignment.solve(assignment.CostMatrix(tuple(map(tuple, cost))))
@@ -169,19 +201,20 @@ def hota_components(gt: TrackedSequence, pred: TrackedSequence):
     pr_index, pr_counts = _id_tables(pred)
     n_g, n_p = len(gt_counts), len(pr_counts)
 
-    sims_per_frame = [
-        _sim_matrix(gf, pf) for gf, pf in zip(gt.frames, pred.frames)
-    ]
-
+    # (gt/pred id index grid, sims) of each frame with detections on both sides
+    frames = []
     potential = np.zeros((n_g, n_p), dtype=np.float64)
-    for gf, pf, sims in zip(gt.frames, pred.frames, sims_per_frame):
-        if not len(gf) or not len(pf):
+    for gf, pf in zip(gt.frames, pred.frames):
+        if not gf or not pf:
             continue
+        sims = _sim_matrix(gf, pf)
+        ids = np.ix_([gt_index[g.track_id] for g in gf],
+                     [pr_index[p.track_id] for p in pf])
         denom = sims.sum(axis=1, keepdims=True) + sims.sum(axis=0, keepdims=True) - sims
         jac = np.divide(sims, denom, out=np.zeros_like(sims), where=denom > ALPHA_MARGIN)
-        for i, g in enumerate(gf):
-            for j, p in enumerate(pf):
-                potential[gt_index[g.track_id], pr_index[p.track_id]] += jac[i, j]
+        # unbuffered and in row-major pair order, like an explicit double loop
+        np.add.at(potential, ids, jac)
+        frames.append((ids, sims))
 
     gc = np.asarray(gt_counts, dtype=np.float64)
     pc = np.asarray(pr_counts, dtype=np.float64)
@@ -190,43 +223,36 @@ def hota_components(gt: TrackedSequence, pred: TrackedSequence):
     else:
         ga = np.zeros((n_g, n_p))
 
-    def match_at(alpha: float) -> MatchingAtAlpha:
-        per_frame = []
-        tp = fp = fn = 0
-        for gf, pf, sims in zip(gt.frames, pred.frames, sims_per_frame):
-            if len(gf) and len(pf):
-                gids = [gt_index[g.track_id] for g in gf]
-                pids = [pr_index[p.track_id] for p in pf]
-                weights = ga[np.ix_(gids, pids)] * sims
-                feasible = sims >= alpha - ALPHA_MARGIN
-                pairs = tuple(_max_match(sims, feasible, weights))
-                tp += len(pairs)
-                fn += len(gf) - len(pairs)
-                fp += len(pf) - len(pairs)
-            else:
-                pairs = ()
-                fn += len(gf)
-                fp += len(pf)
-            per_frame.append(pairs)
-        return MatchingAtAlpha(alpha=alpha, pairs_per_frame=tuple(per_frame),
-                               tp=tp, fp=fp, fn=fn)
+    # A frame's sims and weights do not depend on alpha; alpha only moves the
+    # feasibility mask, so each distinct mask of a frame is matched once.
+    thresholds = np.asarray([alpha - ALPHA_MARGIN for alpha in HOTA_ALPHAS])
+    matched: list[list[int]] = [[] for _ in HOTA_ALPHAS]  # gi * n_p + pj per match
+    for ids, sims in frames:
+        weights = ga[ids] * sims
+        flat_ids = (ids[0] * n_p + ids[1]).tolist()
+        solved: dict[bytes, list[int]] = {}
+        for at_alpha, feasible in zip(matched, sims >= thresholds[:, None, None]):
+            key = feasible.tobytes()
+            if key not in solved:
+                solved[key] = [
+                    flat_ids[r][c] for r, c in _max_match(sims, feasible, weights)
+                ]
+            at_alpha.extend(solved[key])
 
+    n_dets = sum(gt_counts) + sum(pr_counts)
     out = []
-    for alpha in HOTA_ALPHAS:
-        matching = match_at(alpha)
-        matches = np.zeros((n_g, n_p), dtype=np.int64)
-        for gf, pf, pairs in zip(gt.frames, pred.frames, matching.pairs_per_frame):
-            for r, c in pairs:
-                matches[gt_index[gf[r].track_id], pr_index[pf[c].track_id]] += 1
-        deta = matching.tp / max(1, matching.tp + matching.fn + matching.fp)
+    for at_alpha in matched:
+        tp = len(at_alpha)
+        # fn + fp = n_dets - 2 tp, so tp + fn + fp = n_dets - tp
+        deta = tp / max(1, n_dets - tp)
+        counts = np.bincount(np.asarray(at_alpha, dtype=np.intp), minlength=n_g * n_p)
         # sequential row-major accumulation keeps the result order-defined
         num = 0.0
-        for gi in range(n_g):
-            for pj in range(n_p):
-                m = int(matches[gi, pj])
-                if m:
-                    num += m * (m / (gt_counts[gi] + pr_counts[pj] - m))
-        assa = num / max(1, matching.tp)
+        for flat in np.flatnonzero(counts).tolist():
+            gi, pj = divmod(flat, n_p)
+            m = int(counts[flat])
+            num += m * (m / (gt_counts[gi] + pr_counts[pj] - m))
+        assa = num / max(1, tp)
         out.append((deta, assa, math.sqrt(deta * assa)))
     return out
 
@@ -329,13 +355,10 @@ def _streams_aligned(preds: VideoStream, gts: GroundTruthStream) -> None:
         raise FrameAlignmentError(
             "prediction and ground-truth headers disagree on frame size or classes"
         )
-    pred_idx = tuple(f.frame_index for f in preds.frames)
-    gt_idx = tuple(f.frame_index for f in gts.frames)
-    if pred_idx != gt_idx:
-        raise FrameAlignmentError(
-            f"prediction frames {pred_idx[:5]}... do not align with "
-            f"ground truth {gt_idx[:5]}..."
-        )
+    check_frame_alignment(
+        "prediction", [f.frame_index for f in preds.frames],
+        "ground-truth", [f.frame_index for f in gts.frames],
+    )
 
 
 def _detections(preds: VideoStream, tau: float):

@@ -181,3 +181,18 @@ class TestExactTieArbitration:
                     for _ in range(r)]
             m = CostMatrix(tuple(tuple(row) for row in vals))
             assert solve(m).pairs == brute_force_solve(m).pairs
+
+
+class TestScipyCrossCheck:
+    @pytest.mark.parametrize("shape", [(30, 40), (40, 30)])
+    def test_optimal_cost_matches_linear_sum_assignment(self, shape):
+        # larger than the brute-force oracle reaches; scipy is optional
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.Generator(np.random.Philox(4031))
+        for _ in range(3):
+            vals = rng.random(size=shape) * 100.0
+            got = solve(CostMatrix(tuple(tuple(float(v) for v in row) for row in vals)))
+            rows, cols = optimize.linear_sum_assignment(vals)
+            assert len(got.pairs) == min(shape)
+            assert got.total_cost == pytest.approx(float(vals[rows, cols].sum()),
+                                                   rel=1e-12, abs=1e-9)

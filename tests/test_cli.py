@@ -221,4 +221,20 @@ class TestErrorPaths:
         io.write_ground_truth(shorter, gt_path)
         code = run(["loss-check", "--pred", str(pred_path), "--gt", str(gt_path)])
         assert code == 2
-        assert "align" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "align" in err
+        assert f"has {len(gt.frames)} frames" in err
+
+    def test_late_misalignment_names_position(self, tmp_path, capsys):
+        gt_path, pred_path = synth_files(tmp_path, scenario="static")
+        gt = io.read_ground_truth(gt_path)
+        from scopetrack.model import GroundTruthFrame, GroundTruthStream
+        first = gt.frames[6].frame_index
+        late = GroundTruthStream(header=gt.header, frames=gt.frames[:6] + tuple(
+            GroundTruthFrame(f.frame_index + 1, f.objects) for f in gt.frames[6:]
+        ))
+        io.write_ground_truth(late, gt_path)
+        code = run(["loss-check", "--pred", str(pred_path), "--gt", str(gt_path)])
+        assert code == 2
+        assert (f"at position 6, prediction has frame {first} and ground-truth has "
+                f"frame {first + 1}") in capsys.readouterr().err

@@ -5,9 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scopetrack import assignment
+from scopetrack.assignment import CostMatrix, solve
 from scopetrack.errors import FrameAlignmentError, UndefinedMetricError, UnknownClassError
 from scopetrack.metrics import (
+    ALPHA_MARGIN,
     HOTA_ALPHAS,
     TrackedDet,
     TrackedSequence,
@@ -17,7 +22,9 @@ from scopetrack.metrics import (
     eval_mota,
     eval_segmentation,
     hota_components,
+    similarity,
 )
+from scopetrack.metrics import _sim_matrix
 from scopetrack.model import (
     BBox,
     ClassDistribution,
@@ -500,3 +507,354 @@ class TestMotaRange:
         value = eval_mota(gt, flooded)
         assert value < 0.0
         assert value <= 1.0
+
+
+# ------------------------------------------- reference tracking metrics
+#
+# The per-alpha, uncached procedure with a loop-built similarity matrix, as
+# the metrics module computed it before HOTA was solved once per distinct
+# feasibility mask. The module must reproduce it exactly.
+
+def reference_sim_matrix(gt_frame, pred_frame) -> np.ndarray:
+    return np.asarray(
+        [[similarity(g, p) for p in pred_frame] for g in gt_frame],
+        dtype=np.float64,
+    )
+
+
+def reference_max_match(sims, feasible, weights):
+    n_rows, n_cols = sims.shape
+    if n_rows == 0 or n_cols == 0:
+        return []
+    big = 4.0 * (min(n_rows, n_cols) + 1)
+    cost = np.where(feasible, -(big + weights), 0.0)
+    result = solve(CostMatrix(tuple(map(tuple, cost))))
+    return [(r, c) for r, c in result.pairs if feasible[r, c]]
+
+
+def reference_id_tables(seq_: TrackedSequence):
+    index: dict[int, int] = {}
+    counts: list[int] = []
+    for frame in seq_.frames:
+        for det in frame:
+            if det.track_id not in index:
+                index[det.track_id] = len(counts)
+                counts.append(0)
+            counts[index[det.track_id]] += 1
+    return index, counts
+
+
+def reference_hota_components(gt: TrackedSequence, pred: TrackedSequence):
+    gt_index, gt_counts = reference_id_tables(gt)
+    pr_index, pr_counts = reference_id_tables(pred)
+    n_g, n_p = len(gt_counts), len(pr_counts)
+    sims_per_frame = [
+        reference_sim_matrix(gf, pf) for gf, pf in zip(gt.frames, pred.frames)
+    ]
+    potential = np.zeros((n_g, n_p), dtype=np.float64)
+    for gf, pf, sims in zip(gt.frames, pred.frames, sims_per_frame):
+        if not len(gf) or not len(pf):
+            continue
+        denom = sims.sum(axis=1, keepdims=True) + sims.sum(axis=0, keepdims=True) - sims
+        jac = np.divide(sims, denom, out=np.zeros_like(sims), where=denom > ALPHA_MARGIN)
+        for i, g in enumerate(gf):
+            for j, p in enumerate(pf):
+                potential[gt_index[g.track_id], pr_index[p.track_id]] += jac[i, j]
+    gc = np.asarray(gt_counts, dtype=np.float64)
+    pc = np.asarray(pr_counts, dtype=np.float64)
+    if n_g and n_p:
+        ga = potential / (gc[:, None] + pc[None, :] - potential)
+    else:
+        ga = np.zeros((n_g, n_p))
+
+    out = []
+    for alpha in HOTA_ALPHAS:
+        matches = np.zeros((n_g, n_p), dtype=np.int64)
+        tp = fp = fn = 0
+        for gf, pf, sims in zip(gt.frames, pred.frames, sims_per_frame):
+            if len(gf) and len(pf):
+                gids = [gt_index[g.track_id] for g in gf]
+                pids = [pr_index[p.track_id] for p in pf]
+                weights = ga[np.ix_(gids, pids)] * sims
+                feasible = sims >= alpha - ALPHA_MARGIN
+                pairs = reference_max_match(sims, feasible, weights)
+                for r, c in pairs:
+                    matches[gids[r], pids[c]] += 1
+                tp += len(pairs)
+                fn += len(gf) - len(pairs)
+                fp += len(pf) - len(pairs)
+            else:
+                fn += len(gf)
+                fp += len(pf)
+        deta = tp / max(1, tp + fn + fp)
+        num = 0.0
+        for gi in range(n_g):
+            for pj in range(n_p):
+                m = int(matches[gi, pj])
+                if m:
+                    num += m * (m / (gt_counts[gi] + pr_counts[pj] - m))
+        assa = num / max(1, tp)
+        out.append((deta, assa, math.sqrt(deta * assa)))
+    return out
+
+
+def reference_mota(gt: TrackedSequence, pred: TrackedSequence, alpha: float = 0.5) -> float:
+    total_gt = sum(len(f) for f in gt.frames)
+    fn = fp = idsw = 0
+    prev_match: dict[int, int] = {}
+    last_match: dict[int, int] = {}
+    for gf, pf in zip(gt.frames, pred.frames):
+        sims = reference_sim_matrix(gf, pf)
+        gt_ids = [d.track_id for d in gf]
+        pr_ids = [d.track_id for d in pf]
+        matched_g: set[int] = set()
+        matched_p: set[int] = set()
+        pairs: list[tuple[int, int]] = []
+        for i, g in enumerate(gt_ids):
+            want = prev_match.get(g)
+            if want is None or want not in pr_ids:
+                continue
+            j = pr_ids.index(want)
+            if j not in matched_p and sims[i, j] >= alpha - ALPHA_MARGIN:
+                pairs.append((i, j))
+                matched_g.add(i)
+                matched_p.add(j)
+        rest_g = [i for i in range(len(gf)) if i not in matched_g]
+        rest_p = [j for j in range(len(pf)) if j not in matched_p]
+        if rest_g and rest_p:
+            sub = sims[np.ix_(rest_g, rest_p)]
+            for r, c in reference_max_match(sub, sub >= alpha - ALPHA_MARGIN, sub):
+                pairs.append((rest_g[r], rest_p[c]))
+        prev_match = {}
+        for i, j in pairs:
+            g, p = gt_ids[i], pr_ids[j]
+            if g in last_match and last_match[g] != p:
+                idsw += 1
+            last_match[g] = p
+            prev_match[g] = p
+        fn += len(gf) - len(pairs)
+        fp += len(pf) - len(pairs)
+    return 1.0 - (fn + fp + idsw) / total_gt
+
+
+def reference_idf1(gt: TrackedSequence, pred: TrackedSequence, alpha: float = 0.5) -> float:
+    gt_index, gt_counts = reference_id_tables(gt)
+    pr_index, pr_counts = reference_id_tables(pred)
+    if not gt_counts and not pr_counts:
+        return 1.0
+    if not gt_counts or not pr_counts:
+        return 0.0
+    overlap = np.zeros((len(gt_counts), len(pr_counts)), dtype=np.int64)
+    for gf, pf in zip(gt.frames, pred.frames):
+        sims = reference_sim_matrix(gf, pf)
+        for i, g in enumerate(gf):
+            for j, p in enumerate(pf):
+                if sims[i, j] >= alpha - ALPHA_MARGIN:
+                    overlap[gt_index[g.track_id], pr_index[p.track_id]] += 1
+    result = solve(CostMatrix(tuple(tuple(float(-v) for v in row) for row in overlap)))
+    idtp = sum(int(overlap[r, c]) for r, c in result.pairs)
+    return 2.0 * idtp / (sum(gt_counts) + sum(pr_counts))
+
+
+CROWD_SIZE = 12  # frame side in pixels; boxes and masks live on its integer grid
+
+
+def crowded_pair(rng, n_frames=8):
+    """Up to 6 tracks a side on a small integer grid.
+
+    Integer corners make boxes overlap, touch and collapse to zero area, and
+    put many IoUs exactly on grid points such as 1/2 and 1/4. Each frame puts
+    masks on neither side, on one side only, or on some detections of both.
+    """
+    def rand_box():
+        x1, y1 = (int(v) for v in rng.integers(0, CROWD_SIZE - 1, size=2))
+        w, h = (int(v) for v in rng.integers(0, 6, size=2))
+        return BBox(float(x1), float(y1), float(min(CROWD_SIZE, x1 + w)),
+                    float(min(CROWD_SIZE, y1 + h)))
+
+    def near(box):
+        dx, dy, dw = (int(v) for v in rng.integers(-1, 2, size=3))
+        x1 = min(max(box.x1 + dx, 0.0), CROWD_SIZE - 1.0)
+        y1 = min(max(box.y1 + dy, 0.0), CROWD_SIZE - 1.0)
+        return BBox(x1, y1, max(x1, min(box.x2 + dx + dw, float(CROWD_SIZE))),
+                    max(y1, min(box.y2 + dy, float(CROWD_SIZE))))
+
+    def rect_mask(box):
+        grid = np.zeros((CROWD_SIZE, CROWD_SIZE), dtype=np.uint8)
+        grid[int(box.y1):int(box.y2), int(box.x1):int(box.x2)] = 1
+        if rng.random() < 0.3:
+            grid[rng.random((CROWD_SIZE, CROWD_SIZE)) < 0.1] ^= 1
+        return rle_encode(grid)
+
+    n_gt, n_pr = (int(v) for v in rng.integers(1, 7, size=2))
+    gt_walk = {t: rand_box() for t in range(n_gt)}
+    gt_frames, pr_frames = [], []
+    for _ in range(n_frames):
+        mask_gt, mask_pr = [(False, False), (True, False), (False, True), (True, True)][
+            int(rng.integers(0, 4))]
+        gf = []
+        for t in range(n_gt):
+            if rng.random() < 0.8:
+                gt_walk[t] = near(gt_walk[t])
+                box = gt_walk[t]
+                mask = rect_mask(box) if mask_gt and rng.random() < 0.8 else None
+                gf.append(TrackedDet(t, box, mask))
+        pf = []
+        for t in range(n_pr):
+            if rng.random() < 0.2:
+                continue
+            roll = rng.random()
+            if gf and roll < 0.4:
+                box = gf[int(rng.integers(0, len(gf)))].box
+            elif gf and roll < 0.8:
+                box = near(gf[int(rng.integers(0, len(gf)))].box)
+            else:
+                box = rand_box()
+            mask = rect_mask(box) if mask_pr and rng.random() < 0.8 else None
+            pf.append(TrackedDet(100 + t, box, mask))
+        gt_frames.append(tuple(gf))
+        pr_frames.append(tuple(pf))
+    indices = tuple(range(n_frames))
+    return (TrackedSequence(indices, tuple(gt_frames)),
+            TrackedSequence(indices, tuple(pr_frames)))
+
+
+class TestReferenceEquivalence:
+    def test_crowded_instances_match_reference_exactly(self):
+        rng = np.random.default_rng(20261017)
+        on_grid = solved = free = one_sided = 0
+        for _ in range(40):
+            gt, pred = crowded_pair(rng)
+            assert hota_components(gt, pred) == reference_hota_components(gt, pred)
+            if sum(len(f) for f in gt.frames):
+                assert eval_mota(gt, pred) == reference_mota(gt, pred)
+            assert eval_idf1(gt, pred) == reference_idf1(gt, pred)
+            for gf, pf in zip(gt.frames, pred.frames):
+                sims = reference_sim_matrix(gf, pf)
+                on_grid += int(np.isin(sims, HOTA_ALPHAS).sum())
+                one_sided += any(d.mask is not None for d in gf) != any(
+                    d.mask is not None for d in pf)
+                for alpha in HOTA_ALPHAS:
+                    feasible = sims >= alpha - ALPHA_MARGIN
+                    if feasible.any():
+                        conflict = (feasible.sum(axis=0).max() > 1
+                                    or feasible.sum(axis=1).max() > 1)
+                        solved += conflict
+                        free += not conflict
+        # the instances reach every case the fast paths distinguish
+        assert on_grid and solved and free and one_sided
+
+
+class TestSimMatrix:
+    coord = st.one_of(
+        st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+        st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0]),
+    )
+    grid = st.lists(st.booleans(), min_size=16, max_size=16)
+
+    @staticmethod
+    def det(xs, ys, cells):
+        (x1, x2), (y1, y2) = sorted(xs), sorted(ys)
+        mask = None
+        if cells is not None:
+            mask = rle_encode(np.asarray(cells, dtype=np.uint8).reshape(4, 4))
+        return TrackedDet(0, BBox(x1, y1, x2, y2), mask)
+
+    @given(st.lists(st.tuples(st.tuples(coord, coord), st.tuples(coord, coord),
+                              st.none() | grid), max_size=5),
+           st.lists(st.tuples(st.tuples(coord, coord), st.tuples(coord, coord),
+                              st.none() | grid), max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_entries_equal_similarity_bitwise(self, gt_spec, pred_spec):
+        gf = tuple(self.det(*s) for s in gt_spec)
+        pf = tuple(self.det(*s) for s in pred_spec)
+        sims = _sim_matrix(gf, pf)
+        assert sims.shape == (len(gf), len(pf))
+        for i, g in enumerate(gf):
+            for j, p in enumerate(pf):
+                assert float(sims[i, j]).hex() == similarity(g, p).hex()
+
+    def test_disjoint_touching_and_degenerate(self):
+        boxes = [(0.0, 0.0, 4.0, 4.0), (4.0, 0.0, 8.0, 4.0), (2.0, 2.0, 2.0, 6.0),
+                 (0.0, 0.0, 0.0, 0.0), (20.0, 20.0, 30.0, 30.0), (0.0, 0.0, -0.0, 2.0),
+                 (-1e200, 0.0, 1e200, 1.0), (-1.7e308, -1.7e308, 1.7e308, 1.7e308)]
+        dets = tuple(TrackedDet(k, BBox(*b)) for k, b in enumerate(boxes))
+        with np.errstate(over="ignore", invalid="ignore"):  # the last two overflow
+            sims = _sim_matrix(dets, dets)
+        for i, g in enumerate(dets):
+            for j, p in enumerate(dets):
+                assert float(sims[i, j]).hex() == similarity(g, p).hex()
+
+    def test_empty_frames(self):
+        dets = (TrackedDet(0, BBox(*BOX)), TrackedDet(1, BBox(*BOX)))
+        assert _sim_matrix(dets, ()).shape == (2, 0)
+        assert _sim_matrix((), dets).shape == (0, 2)
+        assert _sim_matrix((), ()).shape == (0, 0)
+
+
+class TestSolverCalls:
+    @pytest.fixture
+    def solve_calls(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return solve(m)
+
+        monkeypatch.setattr(assignment, "solve", counting)
+        return calls
+
+    def test_conflict_free_video_needs_no_solve(self, solve_calls):
+        # three well separated tracks, jittered predictions and a spurious one
+        frames_gt, frames_pr = [], []
+        for t in range(12):
+            frames_gt.append([(k, (30.0 * k, 0.0, 30.0 * k + 10, 10.0)) for k in range(3)])
+            frames_pr.append([(k + 10, (30.0 * k + t % 3, 1.0, 30.0 * k + 10, 11.0))
+                              for k in range(3)] + [(99, (200.0, 200.0, 210.0, 210.0))])
+        gt, pred = seq(frames_gt), seq(frames_pr)
+        assert hota_components(gt, pred) == reference_hota_components(gt, pred)
+        solve_calls.clear()
+        hota_components(gt, pred)
+        assert solve_calls == []
+
+    def test_crowded_frame_solved_once_per_distinct_mask(self, solve_calls):
+        gt = seq([[(0, (0.0, 0.0, 10.0, 10.0)), (1, (2.0, 0.0, 12.0, 10.0)),
+                   (2, (4.0, 0.0, 14.0, 10.0))]])
+        pred = seq([[(5, (1.0, 0.0, 11.0, 10.0)), (6, (3.0, 0.0, 13.0, 10.0)),
+                     (7, (5.0, 0.0, 15.0, 10.0))]])
+        sims = reference_sim_matrix(gt.frames[0], pred.frames[0])
+        masks = {(sims >= alpha - ALPHA_MARGIN).tobytes() for alpha in HOTA_ALPHAS}
+        assert hota_components(gt, pred) == reference_hota_components(gt, pred)
+        solve_calls.clear()
+        hota_components(gt, pred)
+        assert 1 <= len(solve_calls) <= len(masks) < len(HOTA_ALPHAS)
+
+
+class TestAlignmentMessages:
+    indices = tuple(range(8))
+    shifted = (0, 1, 2, 3, 4, 5, 7, 8)
+
+    def test_tracked_sequences_name_first_difference(self):
+        gt = seq([[(0, BOX)] for _ in self.indices])
+        pred = TrackedSequence(frame_indices=self.shifted, frames=gt.frames)
+        with pytest.raises(FrameAlignmentError,
+                           match="position 6, ground-truth has frame 6 and predicted has frame 7"):
+            eval_hota(gt, pred)
+
+    def test_length_mismatch_is_named(self):
+        gt = seq([[(0, BOX)] for _ in self.indices])
+        pred = TrackedSequence(frame_indices=self.indices[:6], frames=gt.frames[:6])
+        with pytest.raises(FrameAlignmentError, match="has 8 frames, predicted has 6"):
+            eval_mota(gt, pred)
+
+    def test_streams_name_first_difference(self):
+        pred, gt = det_streams([
+            ([((0, 0, 4, 4), (0.9, 0.05), None)], [(0, (0, 0, 4, 4), "AD", None)])
+            for _ in self.indices
+        ])
+        late = GroundTruthStream(header=gt.header, frames=tuple(
+            GroundTruthFrame(t, f.objects) for t, f in zip(self.shifted, gt.frames)
+        ))
+        with pytest.raises(FrameAlignmentError,
+                           match="position 6, prediction has frame 6 and ground-truth has frame 7"):
+            eval_segmentation(pred, late)
