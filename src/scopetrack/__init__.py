@@ -41,7 +41,6 @@ from .tracker import (
     TrackState,
     TrackSummary,
     build_cost_matrix,
-    cosine_similarity,
     iou_baseline_track,
     step,
     track_video,

@@ -33,9 +33,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="scopetrack", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for multi-video batches (reserved)")
-    parser.add_argument("--quiet", action="store_true", help="suppress notes on stderr")
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file with default option values")
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -97,19 +94,21 @@ def _load_config_file(path: str | None) -> dict:
     return obj
 
 
-def _pick(flag, file_cfg: dict, key: str, default):
-    """flag > config file > default."""
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+def _pick(flag, file_cfg: dict, key: str, default, kind=None):
+    """flag > config file > default; kind converts the picked value."""
+    value = flag if flag is not None else file_cfg.get(key, default)
+    if kind is None:
+        return value
+    try:
+        return kind(value)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise DataError(f"{key} must be {kind.__name__}, got {value!r}") from exc
 
 
 def _tracker_config(args, file_cfg: dict) -> tracker.TrackerConfig:
     return tracker.TrackerConfig(
-        empty_threshold=float(_pick(args.tau, file_cfg, "tau", 0.5)),
-        death_patience=int(_pick(args.patience, file_cfg, "patience", 5)),
+        empty_threshold=_pick(args.tau, file_cfg, "tau", 0.5, float),
+        death_patience=_pick(args.patience, file_cfg, "patience", 5, int),
         carry_forward=not args.no_carry_forward and bool(
             _pick(None, file_cfg, "carry_forward", True)
         ),
@@ -123,9 +122,17 @@ def _weights(path: str | None, file_cfg: dict) -> losses.LossWeights:
         p = Path(path)
         if not p.exists():
             raise DataError(f"weights file not found: {p}")
-        obj = json.loads(p.read_text())
+        try:
+            obj = json.loads(p.read_text())
+        except json.JSONDecodeError as exc:
+            raise DataError(f"weights file {p} is not valid JSON: {exc}") from exc
     elif "weights" in file_cfg:
         obj = file_cfg["weights"]
+    if not isinstance(obj, dict):
+        raise DataError("weights must be a JSON object")
+    not_numbers = sorted(k for k, v in obj.items() if not isinstance(v, (int, float)))
+    if not_numbers:
+        raise DataError(f"weights must be numbers: {not_numbers}")
     known = losses.LossWeights().as_dict()
     unknown = set(obj) - set(known)
     if unknown:
@@ -143,7 +150,7 @@ def _cmd_track(args, file_cfg: dict) -> int:
     cfg = _tracker_config(args, file_cfg)
     stream = io.read_stream(args.stream)
     if args.baseline_iou:
-        floor = float(_pick(args.iou_floor, file_cfg, "iou_floor", 0.1))
+        floor = _pick(args.iou_floor, file_cfg, "iou_floor", 0.1, float)
         output = tracker.iou_baseline_track(stream, iou_floor=floor, cfg=cfg)
     else:
         output = tracker.track_video(stream, cfg)
@@ -158,7 +165,7 @@ def _cmd_track(args, file_cfg: dict) -> int:
 
 
 def _cmd_eval_det(args, file_cfg: dict) -> int:
-    tau = float(_pick(args.tau, file_cfg, "tau", 0.5))
+    tau = _pick(args.tau, file_cfg, "tau", 0.5, float)
     preds = io.read_stream(args.pred)
     gts = io.read_ground_truth(args.gt)
     det = metrics.eval_segmentation(preds, gts, tau=tau)
@@ -176,23 +183,9 @@ def _cmd_eval_det(args, file_cfg: dict) -> int:
 
 
 def _cmd_eval_track(args, file_cfg: dict) -> int:
-    alpha = float(_pick(args.alpha, file_cfg, "alpha", 0.5))
-    tracking, geometry = io.read_tracking(args.pred)
+    alpha = _pick(args.alpha, file_cfg, "alpha", 0.5, float)
+    tracking, pred_seq = io.read_tracking(args.pred)
     gts = io.read_ground_truth(args.gt)
-    pred_seq = metrics.TrackedSequence(
-        frame_indices=tuple(f.frame_index for f in tracking.frames),
-        frames=tuple(
-            tuple(
-                metrics.TrackedDet(
-                    tid,
-                    geometry[(f.frame_index, slot)]["box"],
-                    geometry[(f.frame_index, slot)]["mask"],
-                )
-                for slot, tid in f.assignments
-            )
-            for f in tracking.frames
-        ),
-    )
     gt_seq = metrics.TrackedSequence.from_ground_truth(gts)
     result = metrics.evaluate_tracking(gt_seq, pred_seq, alpha=alpha)
     print(json.dumps({
@@ -208,7 +201,7 @@ def _cmd_eval_track(args, file_cfg: dict) -> int:
 
 def _cmd_report(args, file_cfg: dict) -> int:
     fmt = _pick(args.format, file_cfg, "format", "text")
-    min_frames = int(_pick(args.min_frames, file_cfg, "min_frames", 1))
+    min_frames = _pick(args.min_frames, file_cfg, "min_frames", 1, int)
     tracking, _ = io.read_tracking(args.tracks)
     stream = io.read_stream(args.stream)
     exam = report_mod.generate_report(tracking, stream, min_frames=min_frames)
@@ -218,7 +211,7 @@ def _cmd_report(args, file_cfg: dict) -> int:
 
 
 def _cmd_synth(args, file_cfg: dict) -> int:
-    seed = int(_pick(args.seed, file_cfg, "seed", 0))
+    seed = _pick(args.seed, file_cfg, "seed", 0, int)
     cfg = synth.scenario_config(args.scenario, seed)
     gt, pred = synth.generate(cfg)
     io.write_ground_truth(gt, args.out_gt)
@@ -274,8 +267,6 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("missing subcommand")
-        if args.threads < 1:
-            raise _UsageError(f"--threads must be >= 1, got {args.threads}")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

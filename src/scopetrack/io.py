@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
-from .errors import StreamFormatError
+from .errors import DataError, StreamFormatError
+from .metrics import TrackedDet, TrackedSequence
 from .model import (
     BBox,
     ClassDistribution,
@@ -29,16 +30,21 @@ from .tracker import FrameAssignments, TrackingOutput, TrackSummary
 _HEADER_KEYS = ("n_queries", "embed_dim", "frame_height", "frame_width", "classes")
 
 
-def _load_lines(path: str | Path) -> list[Any]:
+def _load_lines(path: str | Path) -> list[tuple[int, Any]]:
+    """The (line number, decoded object) pairs of the non-blank lines."""
     p = Path(path)
     if not p.exists():
         raise StreamFormatError(f"file not found: {p}")
+    try:
+        text = p.read_text()
+    except UnicodeDecodeError as exc:
+        raise StreamFormatError(f"{p}: not UTF-8 text: {exc}") from exc
     out = []
-    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
         try:
-            out.append(json.loads(raw))
+            out.append((lineno, json.loads(raw)))
         except json.JSONDecodeError as exc:
             raise StreamFormatError(f"{p}:{lineno}: invalid JSON: {exc}") from exc
     if not out:
@@ -46,9 +52,24 @@ def _load_lines(path: str | Path) -> list[Any]:
     return out
 
 
-def _parse_header(obj: Any, path: str | Path) -> StreamHeader:
-    if not isinstance(obj, dict) or any(k not in obj for k in _HEADER_KEYS):
-        raise StreamFormatError(f"{path}: first line is not a stream header")
+def _parse_records(path: str | Path, lines: list[tuple[int, Any]], what: str,
+                   parse: Callable[[Any], Any]) -> list:
+    """parse() each decoded line; every failure names path:line.
+
+    Model invariant violations keep their DataError subclass.
+    """
+    out = []
+    try:
+        for lineno, obj in lines:
+            out.append(parse(obj))
+    except DataError as exc:
+        raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise StreamFormatError(f"{path}:{lineno}: malformed {what}: {exc!r}") from exc
+    return out
+
+
+def _header_from(obj: Any) -> StreamHeader:
     extra = {k: v for k, v in obj.items()
              if k not in _HEADER_KEYS and k not in ("version", "video_id")}
     return StreamHeader(
@@ -61,6 +82,13 @@ def _parse_header(obj: Any, path: str | Path) -> StreamHeader:
         video_id=str(obj.get("video_id", "")),
         extra=extra,
     )
+
+
+def _parse_header(lines: list[tuple[int, Any]], path: str | Path) -> StreamHeader:
+    lineno, obj = lines[0]
+    if not isinstance(obj, dict) or any(k not in obj for k in _HEADER_KEYS):
+        raise StreamFormatError(f"{path}:{lineno}: first line is not a stream header")
+    return _parse_records(path, lines[:1], "stream header", _header_from)[0]
 
 
 def _header_obj(header: StreamHeader) -> dict:
@@ -96,24 +124,23 @@ def _parse_box(obj: Any) -> BBox:
     return BBox(x1, y1, x2, y2)
 
 
+def _parse_frame(obj: Any) -> FramePrediction:
+    slots = tuple(
+        QuerySlot(
+            embedding=tuple(float(v) for v in s["embedding"]),
+            box=_parse_box(s["box"]),
+            classes=ClassDistribution(tuple(float(p) for p in s["probs"])),
+            mask=_parse_mask(s.get("mask")),
+        )
+        for s in obj["slots"]
+    )
+    return FramePrediction(frame_index=int(obj["frame_index"]), slots=slots)
+
+
 def read_stream(path: str | Path) -> VideoStream:
     lines = _load_lines(path)
-    header = _parse_header(lines[0], path)
-    frames = []
-    try:
-        for obj in lines[1:]:
-            slots = tuple(
-                QuerySlot(
-                    embedding=tuple(float(v) for v in s["embedding"]),
-                    box=_parse_box(s["box"]),
-                    classes=ClassDistribution(tuple(float(p) for p in s["probs"])),
-                    mask=_parse_mask(s.get("mask")),
-                )
-                for s in obj["slots"]
-            )
-            frames.append(FramePrediction(frame_index=int(obj["frame_index"]), slots=slots))
-    except (KeyError, TypeError) as exc:
-        raise StreamFormatError(f"{path}: malformed frame record: {exc!r}") from exc
+    header = _parse_header(lines, path)
+    frames = _parse_records(path, lines[1:], "frame record", _parse_frame)
     return VideoStream(header=header, frames=tuple(frames))
 
 
@@ -135,25 +162,23 @@ def write_stream(stream: VideoStream, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _parse_gt_frame(obj: Any) -> GroundTruthFrame:
+    objects = tuple(
+        GroundTruthObject(
+            gt_track_id=int(o["gt_track_id"]),
+            box=_parse_box(o["box"]),
+            class_label=str(o["class"]),
+            mask=_parse_mask(o.get("mask")),
+        )
+        for o in obj["objects"]
+    )
+    return GroundTruthFrame(frame_index=int(obj["frame_index"]), objects=objects)
+
+
 def read_ground_truth(path: str | Path) -> GroundTruthStream:
     lines = _load_lines(path)
-    header = _parse_header(lines[0], path)
-    frames = []
-    try:
-        for obj in lines[1:]:
-            objects = tuple(
-                GroundTruthObject(
-                    gt_track_id=int(o["gt_track_id"]),
-                    box=_parse_box(o["box"]),
-                    class_label=str(o["class"]),
-                    mask=_parse_mask(o.get("mask")),
-                )
-                for o in obj["objects"]
-            )
-            frames.append(GroundTruthFrame(frame_index=int(obj["frame_index"]),
-                                           objects=objects))
-    except (KeyError, TypeError) as exc:
-        raise StreamFormatError(f"{path}: malformed ground-truth record: {exc!r}") from exc
+    header = _parse_header(lines, path)
+    frames = _parse_records(path, lines[1:], "ground-truth record", _parse_gt_frame)
     return GroundTruthStream(header=header, frames=tuple(frames))
 
 
@@ -218,40 +243,45 @@ def write_tracking(output: TrackingOutput, stream: VideoStream, path: str | Path
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_tracking(path: str | Path) -> tuple[TrackingOutput, dict[tuple[int, int], dict]]:
-    """Read a tracks file; also return per-(frame, slot) geometry records."""
-    lines = _load_lines(path)
-    if not (isinstance(lines[-1], dict) and "track_table" in lines[-1]):
-        raise StreamFormatError(f"{path}: missing trailing track-table line")
-    tail = lines[-1]
-    frames = []
-    geometry: dict[tuple[int, int], dict] = {}
-    try:
-        for obj in lines[:-1]:
-            frame_index = int(obj["frame_index"])
-            assignments = []
-            for rec in obj["assignments"]:
-                slot = int(rec["slot"])
-                assignments.append((slot, int(rec["track_id"])))
-                geometry[(frame_index, slot)] = {
-                    "box": _parse_box(rec["box"]),
-                    "mask": _parse_mask(rec.get("mask")),
-                }
-            frames.append(FrameAssignments(frame_index=frame_index,
-                                           assignments=tuple(assignments)))
-        tracks = tuple(
-            TrackSummary(
-                track_id=int(t["track_id"]),
-                observations=tuple((int(f), int(s)) for f, s in t["observations"]),
-                mean_probs=tuple(float(p) for p in t["mean_probs"]),
-            )
-            for t in tail["track_table"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise StreamFormatError(f"{path}: malformed tracks record: {exc!r}") from exc
-    output = TrackingOutput(
-        frames=tuple(frames),
-        tracks=tracks,
-        config=tuple(sorted(tail.get("config", {}).items())),
+def _parse_tracked_frame(obj: Any) -> tuple[FrameAssignments, tuple[TrackedDet, ...]]:
+    records = obj["assignments"]
+    assignments = tuple((int(rec["slot"]), int(rec["track_id"])) for rec in records)
+    dets = tuple(
+        TrackedDet(track_id, _parse_box(rec["box"]), _parse_mask(rec.get("mask")))
+        for (_, track_id), rec in zip(assignments, records)
     )
-    return output, geometry
+    return FrameAssignments(frame_index=int(obj["frame_index"]),
+                            assignments=assignments), dets
+
+
+def _parse_track_table(tail: Any) -> tuple[tuple[TrackSummary, ...], tuple]:
+    tracks = tuple(
+        TrackSummary(
+            track_id=int(t["track_id"]),
+            observations=tuple((int(f), int(s)) for f, s in t["observations"]),
+            mean_probs=tuple(float(p) for p in t["mean_probs"]),
+        )
+        for t in tail["track_table"]
+    )
+    return tracks, tuple(sorted(tail.get("config", {}).items()))
+
+
+def read_tracking(path: str | Path) -> tuple[TrackingOutput, TrackedSequence]:
+    """Read a tracks file; also return its assigned detections for evaluation.
+
+    The sequence equals TrackedSequence.from_tracking(output, stream) for
+    the stream the file was written from.
+    """
+    lines = _load_lines(path)
+    tail = lines[-1][1]
+    if not (isinstance(tail, dict) and "track_table" in tail):
+        raise StreamFormatError(f"{path}: missing trailing track-table line")
+    parsed = _parse_records(path, lines[:-1], "tracks record", _parse_tracked_frame)
+    tracks, config = _parse_records(path, lines[-1:], "track table", _parse_track_table)[0]
+    frames = tuple(fa for fa, _ in parsed)
+    output = TrackingOutput(frames=frames, tracks=tracks, config=config)
+    sequence = TrackedSequence(
+        frame_indices=tuple(fa.frame_index for fa in frames),
+        frames=tuple(dets for _, dets in parsed),
+    )
+    return output, sequence

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -362,7 +362,3 @@ def validate_ground_truth(stream: GroundTruthStream) -> list[str]:
                 )
     return out
 
-
-def embeddings_matrix(slots: Iterable[QuerySlot]) -> np.ndarray:
-    """Stack slot embeddings into an (n, C) float array."""
-    return np.asarray([s.embedding for s in slots], dtype=np.float64)

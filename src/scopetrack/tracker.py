@@ -4,12 +4,15 @@ IoU-overlap baseline tracker.
 Live tracks keep their last embedding as a matching candidate while they
 ride out empty matches, which realizes carry-forward without growing the
 cost matrix; a track dies once its empty streak exceeds the patience.
+State holds the live tracks only: the per-frame assignments are the one
+record of which track held which slot, and the track table is built from
+them once the fold is done.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,7 +25,6 @@ from .model import (
     RleMask,
     VideoStream,
     box_iou,
-    embeddings_matrix,
     mask_iou,
     validate_stream,
 )
@@ -49,6 +51,8 @@ class TrackerConfig:
             raise DataError(f"empty_threshold must be in (0,1), got {self.empty_threshold}")
         if self.death_patience < 1:
             raise DataError(f"death_patience must be >= 1, got {self.death_patience}")
+        if not isinstance(self.similarity_floor, (int, float, type(None))):
+            raise DataError(f"similarity_floor must be a number, got {self.similarity_floor!r}")
 
     def as_dict(self) -> dict:
         return {
@@ -64,7 +68,6 @@ class TrackRecord:
     track_id: int
     last_embedding: tuple[float, ...]
     empty_streak: int
-    observations: tuple[tuple[int, int], ...]  # (frame_index, slot)
     last_box: BBox
     last_mask: RleMask | None = None
 
@@ -72,7 +75,6 @@ class TrackRecord:
 @dataclass(frozen=True)
 class TrackState:
     live: tuple[TrackRecord, ...] = ()
-    retired: tuple[TrackRecord, ...] = ()
     next_id: int = 0
 
 
@@ -111,20 +113,6 @@ class TrackingOutput:
         return dict(self.config)
 
 
-def cosine_similarity(a: Iterable[float], b: Iterable[float]) -> float:
-    """Cosine of the angle between two vectors; 0 if either is near-null."""
-    va = np.asarray(tuple(a), dtype=np.float64)
-    vb = np.asarray(tuple(b), dtype=np.float64)
-    if va.shape != vb.shape:
-        raise DataError(f"vector lengths differ: {va.shape} vs {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na < _ZERO_NORM or nb < _ZERO_NORM:
-        return 0.0
-    sim = float(np.dot(va, vb) / (na * nb))
-    return max(-1.0, min(1.0, sim))
-
-
 def _normalized_rows(mat: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     out = np.zeros_like(mat)
@@ -133,8 +121,7 @@ def _normalized_rows(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_cost_matrix(prev: np.ndarray, curr: np.ndarray) -> assignment.CostMatrix:
-    """Negated cosine similarities: the solver minimizes, matching maximizes."""
+def _cosine_scores(prev: np.ndarray, curr: np.ndarray) -> np.ndarray:
     if curr.shape[0] == 0:
         raise DataError("current frame has no query slots")
     if prev.shape[0] and prev.shape[1] != curr.shape[1]:
@@ -143,7 +130,19 @@ def build_cost_matrix(prev: np.ndarray, curr: np.ndarray) -> assignment.CostMatr
         )
     sims = _normalized_rows(prev) @ _normalized_rows(curr).T
     np.clip(sims, -1.0, 1.0, out=sims)
-    return assignment.CostMatrix(tuple(tuple(row) for row in (-sims)))
+    return sims
+
+
+def build_cost_matrix(prev: np.ndarray, curr: np.ndarray) -> assignment.CostMatrix:
+    """Negated cosine similarities: the solver minimizes, matching maximizes."""
+    return assignment.CostMatrix((-_cosine_scores(prev, curr)).tolist())
+
+
+def _query_scores(live, slots, nonempty):
+    """Cosine against every slot, empty ones included."""
+    prev = np.asarray([t.last_embedding for t in live], dtype=np.float64)
+    curr = np.asarray([s.embedding for s in slots], dtype=np.float64)
+    return list(range(len(slots))), _cosine_scores(prev, curr)
 
 
 def _detection_iou(track: TrackRecord, slot: QuerySlot) -> float:
@@ -152,141 +151,115 @@ def _detection_iou(track: TrackRecord, slot: QuerySlot) -> float:
     return box_iou(track.last_box, slot.box)
 
 
-def _step_impl(state: TrackState, frame: FramePrediction, cfg: TrackerConfig,
-               baseline_iou_floor: float | None) -> tuple[TrackState, FrameAssignments]:
-    tau = cfg.empty_threshold
+def _iou_scores(live, slots, nonempty):
+    """Box (or mask) overlap against the non-empty slots."""
+    return nonempty, np.array(
+        [[_detection_iou(t, slots[j]) for j in nonempty] for t in live],
+        dtype=np.float64,
+    )
+
+
+def _record(track_id: int, slot: QuerySlot) -> TrackRecord:
+    """A track that has just taken this slot."""
+    return TrackRecord(track_id=track_id, last_embedding=slot.embedding,
+                       empty_streak=0, last_box=slot.box, last_mask=slot.mask)
+
+
+def _advance(state: TrackState, frame: FramePrediction, cfg: TrackerConfig,
+             scorer: Callable, floor: float | None) -> tuple[TrackState, FrameAssignments]:
+    """Match, age, retire and birth: the scaffold shared by both trackers.
+
+    scorer(live, slots, nonempty) gives the candidate slot columns and a
+    live x columns score matrix, higher being better. A live track takes its matched slot when the slot is non-empty and the
+    score reaches the floor (no floor: any score); otherwise its empty
+    streak grows. Unclaimed non-empty slots start new tracks in slot order.
+    """
     slots = frame.slots
-    nonempty = [j for j, s in enumerate(slots) if not s.is_empty(tau)]
-    live = list(state.live)
-
-    if baseline_iou_floor is None:
-        cols = list(range(len(slots)))
-        scores = None
-        if live and cols:
-            prev = np.asarray([t.last_embedding for t in live], dtype=np.float64)
-            cost = build_cost_matrix(prev, embeddings_matrix(slots))
-            scores = [[-v for v in row] for row in cost.values]
+    nonempty = [j for j, s in enumerate(slots) if not s.is_empty(cfg.empty_threshold)]
+    matched: dict[int, int] = {}
+    if state.live and slots:
+        cols, scores = scorer(state.live, slots, nonempty)
+        if cols:
+            cost = assignment.CostMatrix((-scores).tolist())
             matched = assignment.solve(cost).as_dict()
-        else:
-            matched = {}
-    else:
-        cols = nonempty
-        scores = [[_detection_iou(t, slots[j]) for j in cols] for t in live]
-        if live and cols:
-            cost = assignment.CostMatrix(
-                tuple(tuple(-s for s in row) for row in scores)
-            )
-            matched = assignment.solve(cost).as_dict()
-        else:
-            matched = {}
-
-    taken: dict[int, int] = {}  # slot -> track_id
-    new_live: list[TrackRecord] = []
-    for i, track in enumerate(live):
-        col = matched.get(i)
-        slot_index = cols[col] if col is not None else None
-        accept = False
-        if slot_index is not None and slot_index in nonempty:
-            if baseline_iou_floor is not None:
-                accept = scores[i][col] >= baseline_iou_floor
-            elif cfg.similarity_floor is not None:
-                accept = scores[i][col] >= cfg.similarity_floor
-            else:
-                accept = True
-        if accept:
-            slot = slots[slot_index]
-            new_live.append(replace(
-                track,
-                last_embedding=slot.embedding,
-                empty_streak=0,
-                observations=track.observations + ((frame.frame_index, slot_index),),
-                last_box=slot.box,
-                last_mask=slot.mask,
-            ))
-            taken[slot_index] = track.track_id
-        else:
-            new_live.append(replace(track, empty_streak=track.empty_streak + 1))
 
     patience = cfg.death_patience if cfg.carry_forward else 0
-    survivors = [t for t in new_live if t.empty_streak <= patience]
-    retired = state.retired + tuple(
-        t for t in new_live if t.empty_streak > patience
-    )
+    taken: dict[int, int] = {}  # slot -> track_id
+    survivors: list[TrackRecord] = []
+    for i, track in enumerate(state.live):
+        col = matched.get(i)
+        j = cols[col] if col is not None else None
+        if j in nonempty and (floor is None or scores[i, col] >= floor):
+            survivors.append(_record(track.track_id, slots[j]))
+            taken[j] = track.track_id
+        elif track.empty_streak < patience:
+            survivors.append(replace(track, empty_streak=track.empty_streak + 1))
 
     next_id = state.next_id
     for j in nonempty:
-        if j in taken:
-            continue
-        slot = slots[j]
-        survivors.append(TrackRecord(
-            track_id=next_id,
-            last_embedding=slot.embedding,
-            empty_streak=0,
-            observations=((frame.frame_index, j),),
-            last_box=slot.box,
-            last_mask=slot.mask,
-        ))
-        taken[j] = next_id
-        next_id += 1
+        if j not in taken:
+            survivors.append(_record(next_id, slots[j]))
+            taken[j] = next_id
+            next_id += 1
 
-    new_state = TrackState(live=tuple(survivors), retired=retired, next_id=next_id)
     frame_out = FrameAssignments(
         frame_index=frame.frame_index,
         assignments=tuple(sorted(taken.items())),
     )
-    return new_state, frame_out
+    return TrackState(live=tuple(survivors), next_id=next_id), frame_out
 
 
 def step(state: TrackState, frame: FramePrediction,
          cfg: TrackerConfig = TrackerConfig()) -> tuple[TrackState, FrameAssignments]:
     """Advance query-space tracking by one frame; state is never mutated."""
-    return _step_impl(state, frame, cfg, baseline_iou_floor=None)
+    return _advance(state, frame, cfg, _query_scores, cfg.similarity_floor)
 
 
-def _summaries(state: TrackState, stream: VideoStream) -> tuple[TrackSummary, ...]:
-    by_frame = {f.frame_index: f for f in stream.frames}
-    records = sorted(state.live + state.retired, key=lambda t: t.track_id)
-    out = []
-    for track in records:
-        probs = np.asarray(
-            [by_frame[f].slots[s].classes.probs for f, s in track.observations],
-            dtype=np.float64,
+def _track_table(stream: VideoStream,
+                 frames: Sequence[FrameAssignments]) -> tuple[TrackSummary, ...]:
+    """Per-track observations and mean class probabilities, by track id."""
+    observations: dict[int, list[tuple[int, int]]] = {}
+    probs: dict[int, list[tuple[float, ...]]] = {}
+    for frame, fa in zip(stream.frames, frames):
+        for slot, track_id in fa.assignments:
+            observations.setdefault(track_id, []).append((fa.frame_index, slot))
+            probs.setdefault(track_id, []).append(frame.slots[slot].classes.probs)
+    return tuple(
+        TrackSummary(
+            track_id=track_id,
+            observations=tuple(observations[track_id]),
+            mean_probs=tuple(float(x) for x in np.asarray(
+                probs[track_id], dtype=np.float64).mean(axis=0)),
         )
-        out.append(TrackSummary(
-            track_id=track.track_id,
-            observations=track.observations,
-            mean_probs=tuple(float(x) for x in probs.mean(axis=0)),
-        ))
-    return tuple(out)
+        for track_id in sorted(observations)
+    )
 
 
-def _run(stream: VideoStream, cfg: TrackerConfig,
-         baseline_iou_floor: float | None) -> TrackingOutput:
+def _run(stream: VideoStream, cfg: TrackerConfig, scorer: Callable,
+         floor: float | None, config: dict) -> TrackingOutput:
     violations = validate_stream(stream)
     if violations:
         raise DataError("invalid stream: " + "; ".join(violations[:3]))
     state = TrackState()
     frames = []
     for frame in stream.frames:
-        state, out = _step_impl(state, frame, cfg, baseline_iou_floor)
+        state, out = _advance(state, frame, cfg, scorer, floor)
         frames.append(out)
-    config = dict(cfg.as_dict())
-    config["algorithm"] = "query" if baseline_iou_floor is None else "iou_baseline"
-    if baseline_iou_floor is not None:
-        config["iou_floor"] = baseline_iou_floor
     return TrackingOutput(
         frames=tuple(frames),
-        tracks=_summaries(state, stream),
-        config=tuple(sorted(config.items())),
+        tracks=_track_table(stream, frames),
+        config=tuple(sorted({**cfg.as_dict(), **config}.items())),
     )
 
 
 def track_video(stream: VideoStream, cfg: TrackerConfig = TrackerConfig()) -> TrackingOutput:
     """Fold step() over the whole stream."""
-    return _run(stream, cfg, baseline_iou_floor=None)
+    return _run(stream, cfg, _query_scores, cfg.similarity_floor,
+                {"algorithm": "query"})
 
 
 def iou_baseline_track(stream: VideoStream, iou_floor: float = 0.1,
                        cfg: TrackerConfig = TrackerConfig()) -> TrackingOutput:
     """Heuristic baseline: associate detections by box (or mask) overlap."""
-    return _run(stream, cfg, baseline_iou_floor=iou_floor)
+    return _run(stream, cfg, _iou_scores, iou_floor,
+                {"algorithm": "iou_baseline", "iou_floor": iou_floor})

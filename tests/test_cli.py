@@ -1,7 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import scopetrack
 from scopetrack.cli import run
 from scopetrack import io
 from scopetrack.synth import generate, scenario_config
@@ -238,3 +245,72 @@ class TestErrorPaths:
         assert code == 2
         assert (f"at position 6, prediction has frame {first} and ground-truth has "
                 f"frame {first + 1}") in capsys.readouterr().err
+
+
+def _stream_edit(lineno, edit):
+    """Rewrite one line of the prediction stream, then run `track` on it."""
+    def case(tmp_path, gt_path, pred_path):
+        lines = pred_path.read_text().splitlines()
+        obj = json.loads(lines[lineno - 1])
+        edit(obj)
+        lines[lineno - 1] = json.dumps(obj)
+        pred_path.write_text("\n".join(lines) + "\n")
+        return ["track", "--in", str(pred_path), "--out", "t.jsonl"], f"{pred_path}:{lineno}:"
+    return case
+
+
+def _raw_stream(data):
+    def case(tmp_path, gt_path, pred_path):
+        pred_path.write_bytes(data)
+        return ["track", "--in", str(pred_path), "--out", "t.jsonl"], str(pred_path)
+    return case
+
+
+def _first_slot(key, value):
+    return _stream_edit(2, lambda frame: frame["slots"][0].__setitem__(key, value))
+
+
+def _weights_file(text):
+    def case(tmp_path, gt_path, pred_path):
+        (tmp_path / "w.json").write_text(text)
+        return ["loss-check", "--pred", str(pred_path), "--gt", str(gt_path),
+                "--weights", "w.json"], None
+    return case
+
+
+def _config_file(text):
+    def case(tmp_path, gt_path, pred_path):
+        (tmp_path / "cfg.json").write_text(text)
+        return ["--config", "cfg.json", "track", "--in", str(pred_path),
+                "--out", "t.jsonl"], None
+    return case
+
+
+_BAD_INPUTS = {
+    "embedding_not_numbers": _first_slot("embedding", ["x"] * 32),
+    "three_element_box": _first_slot("box", [0.0, 0.0, 1.0]),
+    "box_corners_out_of_order": _first_slot("box", [10.0, 10.0, 0.0, 0.0]),
+    "frame_index_not_int": _stream_edit(2, lambda f: f.__setitem__("frame_index", "abc")),
+    "n_queries_not_int": _stream_edit(1, lambda h: h.__setitem__("n_queries", "abc")),
+    "weights_not_json": _weights_file("{not json"),
+    "weight_not_number": _weights_file('{"w_cls": "a"}'),
+    "config_tau_not_number": _config_file('{"tau": "abc"}'),
+    "config_floor_not_number": _config_file('{"similarity_floor": "abc"}'),
+    "stream_not_utf8": _raw_stream(b"\xff\xfe{}\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_INPUTS))
+def test_malformed_input_is_data_error(tmp_path, name):
+    """Decode failures at the parse boundary exit 2 without a traceback."""
+    gt_path, pred_path = synth_files(tmp_path, scenario="static")
+    argv, location = _BAD_INPUTS[name](tmp_path, gt_path, pred_path)
+    src = str(Path(scopetrack.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "scopetrack"] + argv, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=pythonpath),
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if location is not None:
+        assert location in proc.stderr

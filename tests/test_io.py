@@ -6,6 +6,7 @@ import pytest
 
 from scopetrack import io
 from scopetrack.errors import StreamFormatError
+from scopetrack.metrics import TrackedSequence
 from scopetrack.synth import generate, scenario_config
 from scopetrack.tracker import track_video
 
@@ -55,14 +56,12 @@ class TestTracksRoundTrip:
         output = track_video(pred)
         path = tmp_path / "tracks.jsonl"
         io.write_tracking(output, pred, path)
-        again, geometry = io.read_tracking(path)
+        again, sequence = io.read_tracking(path)
         assert again.frames == output.frames
         assert again.tracks == output.tracks
         assert again.config == output.config
-        # geometry carries every assigned slot's box
-        for f in output.frames:
-            for slot, _ in f.assignments:
-                assert (f.frame_index, slot) in geometry
+        # the embedded slot geometry rebuilds the evaluation sequence
+        assert sequence == TrackedSequence.from_tracking(output, pred)
 
 
 class TestMalformedFiles:

@@ -15,7 +15,6 @@ from scopetrack.tracker import (
     TrackerConfig,
     TrackState,
     build_cost_matrix,
-    cosine_similarity,
     iou_baseline_track,
     step,
     track_video,
@@ -46,24 +45,6 @@ def gap_stream(header, gap: int) -> VideoStream:
 
 def assigned_ids(output):
     return [dict(f.assignments) for f in output.frames]
-
-
-class TestCosine:
-    def test_identity(self):
-        assert cosine_similarity((1.0, 2.0, 3.0), (1.0, 2.0, 3.0)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal(self):
-        assert cosine_similarity((1.0, 0.0), (0.0, 5.0)) == 0.0
-
-    def test_opposite(self):
-        assert cosine_similarity((1.0, -2.0), (-1.0, 2.0)) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_null_vector(self):
-        assert cosine_similarity((0.0, 0.0), (1.0, 0.0)) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(DataError):
-            cosine_similarity((1.0,), (1.0, 2.0))
 
 
 class TestCostMatrix:
@@ -394,3 +375,110 @@ class TestReferenceTrackerOracle:
             want_frames, want_table = reference_query_tracker(stream)
             assert got_frames == want_frames, trial
             assert got_table == want_table, trial
+
+
+def reference_iou_tracker(stream, iou_floor, tau=0.5, patience=5):
+    """Plain-dict re-implementation of the IoU baseline, using scalar box
+    overlap, decoded-pixel mask overlap and the enumeration solver; oracle
+    for iou_baseline_track."""
+    from scopetrack.assignment import CostMatrix, brute_force_solve
+    from scopetrack.model import rle_decode
+
+    def overlap(t, slot):
+        if t["mask"] is not None and slot.mask is not None:
+            a = rle_decode(t["mask"]).astype(bool)
+            b = rle_decode(slot.mask).astype(bool)
+            union = int((a | b).sum())
+            return int((a & b).sum()) / union if union else 0.0
+        (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = t["box"], slot.box.as_tuple()
+        inter = (max(0.0, min(ax2, bx2) - max(ax1, bx1))
+                 * max(0.0, min(ay2, by2) - max(ay1, by1)))
+        union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+        return inter / union if union > 0.0 else 0.0
+
+    live = []  # dicts: id, box, mask, streak, obs
+    retired = []
+    next_id = 0
+    per_frame = []
+    for frame in stream.frames:
+        slots = frame.slots
+        nonempty = [j for j, s in enumerate(slots) if s.classes.max_prob >= tau]
+        scores = [[overlap(t, slots[j]) for j in nonempty] for t in live]
+        if live and nonempty:
+            cost = CostMatrix(tuple(tuple(-v for v in row) for row in scores))
+            matched = dict(brute_force_solve(cost).pairs)
+        else:
+            matched = {}
+        assigned = {}
+        for i, t in enumerate(live):
+            col = matched.get(i)
+            if col is not None and scores[i][col] >= iou_floor:
+                j = nonempty[col]
+                t.update(box=slots[j].box.as_tuple(), mask=slots[j].mask, streak=0)
+                t["obs"].append((frame.frame_index, j))
+                assigned[j] = t["id"]
+            else:
+                t["streak"] += 1
+        retired += [t for t in live if t["streak"] > patience]
+        live = [t for t in live if t["streak"] <= patience]
+        for j in nonempty:
+            if j not in assigned:
+                live.append({"id": next_id, "box": slots[j].box.as_tuple(),
+                             "mask": slots[j].mask, "streak": 0,
+                             "obs": [(frame.frame_index, j)]})
+                assigned[j] = next_id
+                next_id += 1
+        per_frame.append(tuple(sorted(assigned.items())))
+    table = {t["id"]: tuple(t["obs"]) for t in live + retired}
+    return per_frame, table
+
+
+def drifting_boxes_stream(rng, with_masks: bool) -> VideoStream:
+    """Three objects random-walk (and now and then jump) over a 32x32 frame;
+    each frame shows them in shuffled slots, some hidden. Masks drop random
+    pixels of their box, so mask overlap differs from box overlap."""
+    from scopetrack.model import rle_encode
+    header = StreamHeader(n_queries=3, embed_dim=4, frame_height=32,
+                          frame_width=32, classes=("AD", "HP"))
+    objects = [[rng.uniform(4, 28), rng.uniform(4, 28), rng.uniform(3, 6)]
+               for _ in range(3)]
+    frames = []
+    for _ in range(40):
+        slots = []
+        for obj in objects:
+            if rng.random() < 0.05:
+                obj[:2] = rng.uniform(4, 28, size=2)
+            obj[0] = float(np.clip(obj[0] + rng.normal(0, 1.5), obj[2], 32 - obj[2]))
+            obj[1] = float(np.clip(obj[1] + rng.normal(0, 1.5), obj[2], 32 - obj[2]))
+            if rng.random() < 0.25:
+                slots.append(make_empty_slot(tuple(rng.normal(size=4))))
+                continue
+            cx, cy, r = obj
+            mask = None
+            if with_masks and rng.random() < 0.8:
+                bitmap = np.zeros((32, 32), dtype=np.uint8)
+                bitmap[int(cy - r):int(cy + r), int(cx - r):int(cx + r)] = 1
+                bitmap &= (rng.random((32, 32)) < 0.8).astype(np.uint8)
+                mask = rle_encode(bitmap)
+            slots.append(make_slot(tuple(rng.normal(size=4)),
+                                   box=(cx - r, cy - r, cx + r, cy + r), mask=mask))
+        frames.append([slots[k] for k in rng.permutation(3)])
+    return make_stream(header, frames)
+
+
+class TestReferenceIouTrackerOracle:
+    def test_fuzz_against_reference(self):
+        rng = np.random.default_rng(2026)
+        floor_mattered = 0
+        for trial in range(24):
+            stream = drifting_boxes_stream(rng, with_masks=trial % 2 == 1)
+            floor = (0.1, 0.3, 0.55)[trial % 3]
+            out = iou_baseline_track(stream, iou_floor=floor)
+            got_frames = [f.assignments for f in out.frames]
+            got_table = {t.track_id: t.observations for t in out.tracks}
+            want_frames, want_table = reference_iou_tracker(stream, floor)
+            assert got_frames == want_frames, trial
+            assert got_table == want_table, trial
+            floor_mattered += reference_iou_tracker(stream, 0.0)[0] != want_frames
+        # the data must reach the floor, or the floor comparison goes untested
+        assert floor_mattered >= 12
