@@ -147,8 +147,9 @@ class _LexRefiner:
 
     Works on the admissible graph (zero reduced-cost edges) of an optimal
     dual solution. A matching of size min(R, C) is optimal exactly when it
-    uses admissible edges only, saturates the short side, and saturates
-    every vertex of the long side whose potential is strictly negative.
+    uses admissible edges only and saturates every "must" vertex: every
+    vertex of the short side (rows when R <= C, else columns) and every
+    vertex of the long side whose potential is strictly negative.
     """
 
     def __init__(self, values, n_rows, n_cols, row_pot, col_pot):
@@ -164,84 +165,55 @@ class _LexRefiner:
             ]
             for i in range(n_rows)
         ]
-        if n_rows <= n_cols:
-            self.must_cols = {j for j in range(n_cols) if col_pot[j] < -atol}
-            self.must_rows: set[int] = set()
-        else:
-            self.must_rows = {i for i in range(n_rows) if row_pot[i] < -atol}
-            self.must_cols = set()
+        self.must_rows = {
+            i for i in range(n_rows) if n_rows <= n_cols or row_pot[i] < -atol
+        }
+        self.must_cols = {
+            j for j in range(n_cols) if n_rows > n_cols or col_pot[j] < -atol
+        }
 
-    def _completable(self, next_row: int, used_cols: set[int], pairs_left: int) -> bool:
-        """Can rows >= next_row complete the matching within the constraints?"""
-        rows = list(range(next_row, self.n_rows))
-        if self.n_rows <= self.n_cols and len(rows) != pairs_left:
-            return False
-        if self.n_rows > self.n_cols and len(rows) < pairs_left:
-            return False
-        local = {r: i for i, r in enumerate(rows)}
-        col_ids = sorted(set(c for r in rows for c in self.adj[r]) - used_cols)
-        col_local = {c: i for i, c in enumerate(col_ids)}
-        adj = [
-            [col_local[c] for c in self.adj[r] if c not in used_cols]
-            for r in rows
-        ]
-        if self.n_rows <= self.n_cols:
-            # every remaining row must be matched...
-            if not _saturates(adj, list(range(len(rows)))):
-                return False
-            # ...and so must every remaining must-match column
-            want = [c for c in self.must_cols if c not in used_cols]
-            if any(c not in col_local for c in want):
-                return False
-            radj = [[] for _ in col_ids]
-            for r_local, cols in enumerate(adj):
-                for c in cols:
-                    radj[c].append(r_local)
-            return _saturates(radj, [col_local[c] for c in want])
-        # long-rows case: every remaining column must be matched
-        radj = [[] for _ in col_ids]
+    def _completable(self, next_row: int, used_cols: set[int]) -> bool:
+        """Can rows >= next_row and the unused columns saturate every must vertex?
+
+        Each side is tested on its own: by the Mendelsohn-Dulmage theorem a
+        set of rows and a set of columns that can each be saturated can be
+        saturated by one matching.
+        """
+        adj = [[c for c in self.adj[r] if c not in used_cols]
+               for r in range(next_row, self.n_rows)]
+        radj: list[list[int]] = [[] for _ in range(self.n_cols)]
         for r_local, cols in enumerate(adj):
             for c in cols:
                 radj[c].append(r_local)
-        remaining_cols = [c for c in range(self.n_cols) if c not in used_cols]
-        if len(remaining_cols) != pairs_left:
-            return False
-        if any(c not in col_local for c in remaining_cols):
-            return False
-        if not _saturates(radj, [col_local[c] for c in remaining_cols]):
-            return False
-        want_rows = [local[r] for r in self.must_rows if r >= next_row]
-        return _saturates(adj, want_rows)
+        want_rows = [r - next_row for r in self.must_rows if r >= next_row]
+        want_cols = [c for c in self.must_cols if c not in used_cols]
+        return _saturates(adj, want_rows) and _saturates(radj, want_cols)
+
+    def _place(self, r: int, used_cols: set[int]) -> tuple[int, int]:
+        """The smallest (row, col) from row r on that keeps a completion.
+
+        Rows may be skipped, but never past a must-row. The column is added
+        to used_cols.
+        """
+        for rr in range(r, self.n_rows):
+            for c in self.adj[rr]:
+                if c in used_cols:
+                    continue
+                used_cols.add(c)
+                if self._completable(rr + 1, used_cols):
+                    return rr, c
+                used_cols.discard(c)
+            if rr in self.must_rows:
+                break
+        raise AssertionError("lexicographic refinement lost feasibility")
 
     def run(self) -> tuple[tuple[int, int], ...]:
-        k = min(self.n_rows, self.n_cols)
         used_cols: set[int] = set()
         pairs: list[tuple[int, int]] = []
         r = 0
-        while len(pairs) < k:
-            placed = False
-            # rows may only be skipped when R > C, and never past a must-row
-            row_candidates = [r] if self.n_rows <= self.n_cols else [
-                rr for rr in range(r, self.n_rows)
-            ]
-            for rr in row_candidates:
-                for c in self.adj[rr]:
-                    if c in used_cols:
-                        continue
-                    used_cols.add(c)
-                    ok = self._completable(rr + 1, used_cols, k - len(pairs) - 1)
-                    if ok:
-                        pairs.append((rr, c))
-                        r = rr + 1
-                        placed = True
-                        break
-                    used_cols.discard(c)
-                if placed:
-                    break
-                if self.n_rows > self.n_cols and rr in self.must_rows:
-                    break  # cannot skip a must-match row
-            if not placed:
-                raise AssertionError("lexicographic refinement lost feasibility")
+        while len(pairs) < min(self.n_rows, self.n_cols):
+            pairs.append(self._place(r, used_cols))
+            r = pairs[-1][0] + 1
         return tuple(pairs)
 
 

@@ -79,18 +79,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_json_object(path: str, what: str) -> dict:
+    """The JSON object held by a --config or --weights file."""
     p = Path(path)
     if not p.exists():
-        raise DataError(f"config file not found: {p}")
+        raise DataError(f"{what} file not found: {p}")
     try:
         obj = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"config file {p} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # invalid JSON or not UTF-8
+        raise DataError(f"{what} file {p} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise DataError(f"config file {p} must hold a JSON object")
+        raise DataError(f"{what} file {p} must hold a JSON object")
     return obj
 
 
@@ -108,26 +107,18 @@ def _pick(flag, file_cfg: dict, key: str, default, kind=None):
 def _tracker_config(args, file_cfg: dict) -> tracker.TrackerConfig:
     return tracker.TrackerConfig(
         empty_threshold=_pick(args.tau, file_cfg, "tau", 0.5, float),
-        death_patience=_pick(args.patience, file_cfg, "patience", 5, int),
-        carry_forward=not args.no_carry_forward and bool(
-            _pick(None, file_cfg, "carry_forward", True)
-        ),
+        death_patience=_pick(args.patience, file_cfg, "patience", 5),
+        carry_forward=_pick(False if args.no_carry_forward else None, file_cfg,
+                            "carry_forward", True),
         similarity_floor=_pick(args.similarity_floor, file_cfg, "similarity_floor", None),
     )
 
 
 def _weights(path: str | None, file_cfg: dict) -> losses.LossWeights:
-    obj = {}
     if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise DataError(f"weights file not found: {p}")
-        try:
-            obj = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise DataError(f"weights file {p} is not valid JSON: {exc}") from exc
-    elif "weights" in file_cfg:
-        obj = file_cfg["weights"]
+        obj = _load_json_object(path, "weights")
+    else:
+        obj = file_cfg.get("weights", {})
     if not isinstance(obj, dict):
         raise DataError("weights must be a JSON object")
     not_numbers = sorted(k for k, v in obj.items() if not isinstance(v, (int, float)))
@@ -271,7 +262,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        file_cfg = _load_config_file(args.config)
+        file_cfg = {} if args.config is None else _load_json_object(args.config, "config")
         return _COMMANDS[args.command](args, file_cfg)
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,7 +2,10 @@
 
 Line 1 of every stream file is the header object; every later line is one
 frame. Floats go through json's repr serialization, which round-trips
-exactly.
+exactly. The stream and ground-truth readers also check the model's
+invariants (validate_stream, validate_ground_truth); a file that breaks
+them raises StreamFormatError naming the path and the first three
+violations.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from .model import (
     RleMask,
     StreamHeader,
     VideoStream,
+    validate_ground_truth,
+    validate_stream,
 )
 from .tracker import FrameAssignments, TrackingOutput, TrackSummary
 
@@ -84,6 +89,11 @@ def _header_from(obj: Any) -> StreamHeader:
     )
 
 
+def _require_valid(path: str | Path, violations: list[str]) -> None:
+    if violations:
+        raise StreamFormatError(f"{path}: invalid stream: " + "; ".join(violations[:3]))
+
+
 def _parse_header(lines: list[tuple[int, Any]], path: str | Path) -> StreamHeader:
     lineno, obj = lines[0]
     if not isinstance(obj, dict) or any(k not in obj for k in _HEADER_KEYS):
@@ -141,7 +151,9 @@ def read_stream(path: str | Path) -> VideoStream:
     lines = _load_lines(path)
     header = _parse_header(lines, path)
     frames = _parse_records(path, lines[1:], "frame record", _parse_frame)
-    return VideoStream(header=header, frames=tuple(frames))
+    stream = VideoStream(header=header, frames=tuple(frames))
+    _require_valid(path, validate_stream(stream))
+    return stream
 
 
 def write_stream(stream: VideoStream, path: str | Path) -> None:
@@ -179,7 +191,9 @@ def read_ground_truth(path: str | Path) -> GroundTruthStream:
     lines = _load_lines(path)
     header = _parse_header(lines, path)
     frames = _parse_records(path, lines[1:], "ground-truth record", _parse_gt_frame)
-    return GroundTruthStream(header=header, frames=tuple(frames))
+    gts = GroundTruthStream(header=header, frames=tuple(frames))
+    _require_valid(path, validate_ground_truth(gts))
+    return gts
 
 
 def write_ground_truth(stream: GroundTruthStream, path: str | Path) -> None:
@@ -204,26 +218,23 @@ def write_tracking(output: TrackingOutput, stream: VideoStream, path: str | Path
     """One line per frame plus a trailing track-table line.
 
     Assignments embed the slot geometry so that downstream evaluation does
-    not need the original stream next to the tracks file.
+    not need the original stream next to the tracks file. A tracked frame
+    missing from the stream raises FrameAlignmentError before anything is
+    written.
     """
-    by_frame = {f.frame_index: f for f in stream.frames}
+    sequence = TrackedSequence.from_tracking(output, stream)
     lines = []
-    for fa in output.frames:
-        if fa.frame_index not in by_frame:
-            raise StreamFormatError(
-                f"tracking refers to frame {fa.frame_index}, which the stream lacks"
-            )
-        slots = by_frame[fa.frame_index].slots
+    for fa, dets in zip(output.frames, sequence.frames):
         lines.append(json.dumps({
             "frame_index": fa.frame_index,
             "assignments": [
                 {
                     "slot": slot,
-                    "track_id": tid,
-                    "box": list(slots[slot].box.as_tuple()),
-                    "mask": _mask_obj(slots[slot].mask),
+                    "track_id": det.track_id,
+                    "box": list(det.box.as_tuple()),
+                    "mask": _mask_obj(det.mask),
                 }
-                for slot, tid in fa.assignments
+                for (slot, _), det in zip(fa.assignments, dets)
             ],
         }))
     lines.append(json.dumps({

@@ -70,9 +70,6 @@ class MatchResult:
     pairs: tuple[tuple[int, int], ...]
     unmatched_queries: frozenset[int]
 
-    def query_of(self, gt_index: int) -> int:
-        return dict(self.pairs)[gt_index]
-
 
 @dataclass(frozen=True)
 class LossBreakdown:

@@ -22,8 +22,8 @@ from .model import (
     RleMask,
     VideoStream,
     box_iou,
-    mask_iou,
     rle_decode,
+    similarity,
 )
 from .tracker import TrackingOutput
 
@@ -97,13 +97,6 @@ class TrackedSequence:
         )
 
 
-def similarity(a: TrackedDet, b: TrackedDet) -> float:
-    """Box IoU, upgraded to mask IoU when both detections carry masks."""
-    if a.mask is not None and b.mask is not None:
-        return mask_iou(a.mask, b.mask)
-    return box_iou(a.box, b.box)
-
-
 def check_frame_alignment(a_name: str, a: Sequence[int],
                           b_name: str, b: Sequence[int]) -> None:
     """Raise FrameAlignmentError unless two frame-index sequences are equal.
@@ -123,11 +116,6 @@ def check_frame_alignment(a_name: str, a: Sequence[int],
         f"{a_name} frames do not align with {b_name}: {a_name} has {len(a)} "
         f"frames, {b_name} has {len(b)}, the first {min(len(a), len(b))} agree"
     )
-
-
-def _check_aligned(gt: TrackedSequence, pred: TrackedSequence) -> None:
-    check_frame_alignment("ground-truth", gt.frame_indices,
-                          "predicted", pred.frame_indices)
 
 
 def _id_tables(seq: TrackedSequence) -> tuple[dict[int, int], list[int]]:
@@ -172,6 +160,25 @@ def _sim_matrix(gt_frame, pred_frame) -> np.ndarray:
     return sims
 
 
+def _pair(gt: TrackedSequence, pred: TrackedSequence):
+    """The frame pairing HOTA, MOTA and IDF1 share.
+
+    Returns (gt_counts, pred_counts, frames): the detections per dense track
+    id of each side, and per frame the dense gt ids, the dense pred ids and
+    the similarity matrix between those detections.
+    """
+    check_frame_alignment("ground-truth", gt.frame_indices,
+                          "predicted", pred.frame_indices)
+    gt_index, gt_counts = _id_tables(gt)
+    pr_index, pr_counts = _id_tables(pred)
+    frames = [
+        ([gt_index[d.track_id] for d in gf], [pr_index[d.track_id] for d in pf],
+         _sim_matrix(gf, pf))
+        for gf, pf in zip(gt.frames, pred.frames)
+    ]
+    return gt_counts, pr_counts, frames
+
+
 def _max_match(sims: np.ndarray, feasible: np.ndarray,
                weights: np.ndarray) -> list[tuple[int, int]]:
     """Match maximizing feasible-pair count first, then total weight.
@@ -196,20 +203,16 @@ def _max_match(sims: np.ndarray, feasible: np.ndarray,
 
 def hota_components(gt: TrackedSequence, pred: TrackedSequence):
     """Per-alpha (deta, assa, hota) triples over the threshold grid."""
-    _check_aligned(gt, pred)
-    gt_index, gt_counts = _id_tables(gt)
-    pr_index, pr_counts = _id_tables(pred)
+    gt_counts, pr_counts, paired = _pair(gt, pred)
     n_g, n_p = len(gt_counts), len(pr_counts)
 
     # (gt/pred id index grid, sims) of each frame with detections on both sides
     frames = []
     potential = np.zeros((n_g, n_p), dtype=np.float64)
-    for gf, pf in zip(gt.frames, pred.frames):
-        if not gf or not pf:
+    for g, p, sims in paired:
+        if not sims.size:
             continue
-        sims = _sim_matrix(gf, pf)
-        ids = np.ix_([gt_index[g.track_id] for g in gf],
-                     [pr_index[p.track_id] for p in pf])
+        ids = np.ix_(g, p)
         denom = sims.sum(axis=1, keepdims=True) + sims.sum(axis=0, keepdims=True) - sims
         jac = np.divide(sims, denom, out=np.zeros_like(sims), where=denom > ALPHA_MARGIN)
         # unbuffered and in row-major pair order, like an explicit double loop
@@ -269,17 +272,14 @@ def eval_hota(gt: TrackedSequence, pred: TrackedSequence) -> tuple[float, float,
 
 def eval_mota(gt: TrackedSequence, pred: TrackedSequence, alpha: float = 0.5) -> float:
     """CLEAR accuracy with previous-frame match persistence."""
-    _check_aligned(gt, pred)
-    total_gt = sum(len(f) for f in gt.frames)
+    gt_counts, _, frames = _pair(gt, pred)
+    total_gt = sum(gt_counts)
     if total_gt == 0:
         raise UndefinedMetricError("MOTA undefined: ground truth has no detections")
     fn = fp = idsw = 0
     prev_match: dict[int, int] = {}  # gt id -> pred id in previous frame
     last_match: dict[int, int] = {}  # gt id -> last matched pred id ever
-    for gf, pf in zip(gt.frames, pred.frames):
-        sims = _sim_matrix(gf, pf)
-        gt_ids = [d.track_id for d in gf]
-        pr_ids = [d.track_id for d in pf]
+    for gt_ids, pr_ids, sims in frames:
         matched_g: set[int] = set()
         matched_p: set[int] = set()
         pairs: list[tuple[int, int]] = []
@@ -293,8 +293,8 @@ def eval_mota(gt: TrackedSequence, pred: TrackedSequence, alpha: float = 0.5) ->
                 pairs.append((i, j))
                 matched_g.add(i)
                 matched_p.add(j)
-        rest_g = [i for i in range(len(gf)) if i not in matched_g]
-        rest_p = [j for j in range(len(pf)) if j not in matched_p]
+        rest_g = [i for i in range(len(gt_ids)) if i not in matched_g]
+        rest_p = [j for j in range(len(pr_ids)) if j not in matched_p]
         if rest_g and rest_p:
             sub = sims[np.ix_(rest_g, rest_p)]
             feasible = sub >= alpha - ALPHA_MARGIN
@@ -307,16 +307,14 @@ def eval_mota(gt: TrackedSequence, pred: TrackedSequence, alpha: float = 0.5) ->
                 idsw += 1
             last_match[g] = p
             prev_match[g] = p
-        fn += len(gf) - len(pairs)
-        fp += len(pf) - len(pairs)
+        fn += len(gt_ids) - len(pairs)
+        fp += len(pr_ids) - len(pairs)
     return 1.0 - (fn + fp + idsw) / total_gt
 
 
 def eval_idf1(gt: TrackedSequence, pred: TrackedSequence, alpha: float = 0.5) -> float:
     """F1 over identity-consistent matches under a global trajectory pairing."""
-    _check_aligned(gt, pred)
-    gt_index, gt_counts = _id_tables(gt)
-    pr_index, pr_counts = _id_tables(pred)
+    gt_counts, pr_counts, frames = _pair(gt, pred)
     total_gt = sum(gt_counts)
     total_pred = sum(pr_counts)
     if total_gt + total_pred == 0:
@@ -324,12 +322,8 @@ def eval_idf1(gt: TrackedSequence, pred: TrackedSequence, alpha: float = 0.5) ->
     if not gt_counts or not pr_counts:
         return 0.0
     overlap = np.zeros((len(gt_counts), len(pr_counts)), dtype=np.int64)
-    for gf, pf in zip(gt.frames, pred.frames):
-        sims = _sim_matrix(gf, pf)
-        for i, g in enumerate(gf):
-            for j, p in enumerate(pf):
-                if sims[i, j] >= alpha - ALPHA_MARGIN:
-                    overlap[gt_index[g.track_id], pr_index[p.track_id]] += 1
+    for g, p, sims in frames:
+        np.add.at(overlap, np.ix_(g, p), sims >= alpha - ALPHA_MARGIN)
     cost = tuple(tuple(float(-v) for v in row) for row in overlap)
     result = assignment.solve(assignment.CostMatrix(cost))
     idtp = sum(int(overlap[r, c]) for r, c in result.pairs)

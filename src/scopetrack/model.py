@@ -271,6 +271,16 @@ def mask_iou(a: RleMask, b: RleMask) -> float:
     return inter / union
 
 
+def similarity(a, b) -> float:
+    """Overlap of two detections (anything with .box and .mask).
+
+    Mask IoU when both carry a mask, box IoU otherwise.
+    """
+    if a.mask is not None and b.mask is not None:
+        return mask_iou(a.mask, b.mask)
+    return box_iou(a.box, b.box)
+
+
 def _check_slot(header: StreamHeader, frame_index: int, slot_index: int,
                 slot: QuerySlot, out: list[str]) -> None:
     if len(slot.embedding) != header.embed_dim:

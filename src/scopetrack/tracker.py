@@ -18,16 +18,7 @@ import numpy as np
 
 from . import assignment
 from .errors import DataError
-from .model import (
-    BBox,
-    FramePrediction,
-    QuerySlot,
-    RleMask,
-    VideoStream,
-    box_iou,
-    mask_iou,
-    validate_stream,
-)
+from .model import FramePrediction, QuerySlot, VideoStream, similarity, validate_stream
 
 _ZERO_NORM = 1e-12
 
@@ -49,8 +40,12 @@ class TrackerConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.empty_threshold < 1.0:
             raise DataError(f"empty_threshold must be in (0,1), got {self.empty_threshold}")
+        if isinstance(self.death_patience, bool) or not isinstance(self.death_patience, int):
+            raise DataError(f"death_patience must be an integer, got {self.death_patience!r}")
         if self.death_patience < 1:
             raise DataError(f"death_patience must be >= 1, got {self.death_patience}")
+        if not isinstance(self.carry_forward, bool):
+            raise DataError(f"carry_forward must be true or false, got {self.carry_forward!r}")
         if not isinstance(self.similarity_floor, (int, float, type(None))):
             raise DataError(f"similarity_floor must be a number, got {self.similarity_floor!r}")
 
@@ -66,10 +61,8 @@ class TrackerConfig:
 @dataclass(frozen=True)
 class TrackRecord:
     track_id: int
-    last_embedding: tuple[float, ...]
-    empty_streak: int
-    last_box: BBox
-    last_mask: RleMask | None = None
+    last: QuerySlot  # the slot the track last took
+    empty_streak: int = 0
 
 
 @dataclass(frozen=True)
@@ -140,29 +133,17 @@ def build_cost_matrix(prev: np.ndarray, curr: np.ndarray) -> assignment.CostMatr
 
 def _query_scores(live, slots, nonempty):
     """Cosine against every slot, empty ones included."""
-    prev = np.asarray([t.last_embedding for t in live], dtype=np.float64)
+    prev = np.asarray([t.last.embedding for t in live], dtype=np.float64)
     curr = np.asarray([s.embedding for s in slots], dtype=np.float64)
     return list(range(len(slots))), _cosine_scores(prev, curr)
-
-
-def _detection_iou(track: TrackRecord, slot: QuerySlot) -> float:
-    if track.last_mask is not None and slot.mask is not None:
-        return mask_iou(track.last_mask, slot.mask)
-    return box_iou(track.last_box, slot.box)
 
 
 def _iou_scores(live, slots, nonempty):
     """Box (or mask) overlap against the non-empty slots."""
     return nonempty, np.array(
-        [[_detection_iou(t, slots[j]) for j in nonempty] for t in live],
+        [[similarity(t.last, slots[j]) for j in nonempty] for t in live],
         dtype=np.float64,
     )
-
-
-def _record(track_id: int, slot: QuerySlot) -> TrackRecord:
-    """A track that has just taken this slot."""
-    return TrackRecord(track_id=track_id, last_embedding=slot.embedding,
-                       empty_streak=0, last_box=slot.box, last_mask=slot.mask)
 
 
 def _advance(state: TrackState, frame: FramePrediction, cfg: TrackerConfig,
@@ -170,9 +151,10 @@ def _advance(state: TrackState, frame: FramePrediction, cfg: TrackerConfig,
     """Match, age, retire and birth: the scaffold shared by both trackers.
 
     scorer(live, slots, nonempty) gives the candidate slot columns and a
-    live x columns score matrix, higher being better. A live track takes its matched slot when the slot is non-empty and the
-    score reaches the floor (no floor: any score); otherwise its empty
-    streak grows. Unclaimed non-empty slots start new tracks in slot order.
+    live x columns score matrix, higher being better. A live track takes
+    its matched slot when the slot is non-empty and the score reaches the
+    floor (no floor: any score); otherwise its empty streak grows.
+    Unclaimed non-empty slots start new tracks in slot order.
     """
     slots = frame.slots
     nonempty = [j for j, s in enumerate(slots) if not s.is_empty(cfg.empty_threshold)]
@@ -190,7 +172,7 @@ def _advance(state: TrackState, frame: FramePrediction, cfg: TrackerConfig,
         col = matched.get(i)
         j = cols[col] if col is not None else None
         if j in nonempty and (floor is None or scores[i, col] >= floor):
-            survivors.append(_record(track.track_id, slots[j]))
+            survivors.append(TrackRecord(track.track_id, slots[j]))
             taken[j] = track.track_id
         elif track.empty_streak < patience:
             survivors.append(replace(track, empty_streak=track.empty_streak + 1))
@@ -198,7 +180,7 @@ def _advance(state: TrackState, frame: FramePrediction, cfg: TrackerConfig,
     next_id = state.next_id
     for j in nonempty:
         if j not in taken:
-            survivors.append(_record(next_id, slots[j]))
+            survivors.append(TrackRecord(next_id, slots[j]))
             taken[j] = next_id
             next_id += 1
 

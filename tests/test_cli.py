@@ -12,6 +12,7 @@ import scopetrack
 from scopetrack.cli import run
 from scopetrack import io
 from scopetrack.synth import generate, scenario_config
+from scopetrack.tracker import track_video
 
 
 def synth_files(tmp_path, scenario="occlusion", seed=5):
@@ -247,14 +248,18 @@ class TestErrorPaths:
                 f"frame {first + 1}") in capsys.readouterr().err
 
 
+def _rewrite_line(path, lineno, edit):
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[lineno - 1])
+    edit(obj)
+    lines[lineno - 1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _stream_edit(lineno, edit):
     """Rewrite one line of the prediction stream, then run `track` on it."""
     def case(tmp_path, gt_path, pred_path):
-        lines = pred_path.read_text().splitlines()
-        obj = json.loads(lines[lineno - 1])
-        edit(obj)
-        lines[lineno - 1] = json.dumps(obj)
-        pred_path.write_text("\n".join(lines) + "\n")
+        _rewrite_line(pred_path, lineno, edit)
         return ["track", "--in", str(pred_path), "--out", "t.jsonl"], f"{pred_path}:{lineno}:"
     return case
 
@@ -278,12 +283,49 @@ def _weights_file(text):
     return case
 
 
-def _config_file(text):
+def _config_file(text, key=None):
     def case(tmp_path, gt_path, pred_path):
         (tmp_path / "cfg.json").write_text(text)
         return ["--config", "cfg.json", "track", "--in", str(pred_path),
-                "--out", "t.jsonl"], None
+                "--out", "t.jsonl"], key
     return case
+
+
+def _tracks_for(tmp_path, pred_path):
+    tracks = tmp_path / "tracks.jsonl"
+    stream = io.read_stream(pred_path)
+    io.write_tracking(track_video(stream), stream, tracks)
+    return tracks
+
+
+def _extra_prob(command):
+    """Give the first slot one class probability more than the header has classes."""
+    def case(tmp_path, gt_path, pred_path):
+        tracks = _tracks_for(tmp_path, pred_path)
+        n_classes = len(json.loads(pred_path.read_text().splitlines()[0])["classes"])
+        _rewrite_line(pred_path, 2, lambda frame: frame["slots"][0].__setitem__(
+            "probs", [0.1] * (n_classes + 1)))
+        argv = {
+            "eval-det": ["eval-det", "--pred", str(pred_path), "--gt", str(gt_path)],
+            "report": ["report", "--tracks", str(tracks), "--stream", str(pred_path)],
+            "loss-check": ["loss-check", "--pred", str(pred_path), "--gt", str(gt_path)],
+        }[command]
+        return argv, f"{pred_path}: invalid stream"
+    return case
+
+
+def _gt_edit(edit):
+    """Rewrite the first ground-truth frame, then run `eval-track` against it."""
+    def case(tmp_path, gt_path, pred_path):
+        tracks = _tracks_for(tmp_path, pred_path)
+        _rewrite_line(gt_path, 2, edit)
+        return (["eval-track", "--pred", str(tracks), "--gt", str(gt_path)],
+                f"{gt_path}: invalid stream")
+    return case
+
+
+def _duplicate_gt_id(frame):
+    frame["objects"][1]["gt_track_id"] = frame["objects"][0]["gt_track_id"]
 
 
 _BAD_INPUTS = {
@@ -297,6 +339,14 @@ _BAD_INPUTS = {
     "config_tau_not_number": _config_file('{"tau": "abc"}'),
     "config_floor_not_number": _config_file('{"similarity_floor": "abc"}'),
     "stream_not_utf8": _raw_stream(b"\xff\xfe{}\n"),
+    "eval_det_extra_prob": _extra_prob("eval-det"),
+    "report_extra_prob": _extra_prob("report"),
+    "loss_check_extra_prob": _extra_prob("loss-check"),
+    "gt_duplicate_track_id": _gt_edit(_duplicate_gt_id),
+    "gt_unknown_class": _gt_edit(lambda frame: frame["objects"][0].__setitem__(
+        "class", "carcinoid")),
+    "config_carry_forward_string": _config_file('{"carry_forward": "false"}', "carry_forward"),
+    "config_patience_not_integral": _config_file('{"patience": 2.9}', "patience"),
 }
 
 

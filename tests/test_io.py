@@ -5,8 +5,9 @@ import json
 import pytest
 
 from scopetrack import io
-from scopetrack.errors import StreamFormatError
+from scopetrack.errors import FrameAlignmentError, StreamFormatError
 from scopetrack.metrics import TrackedSequence
+from scopetrack.model import VideoStream
 from scopetrack.synth import generate, scenario_config
 from scopetrack.tracker import track_video
 
@@ -63,6 +64,17 @@ class TestTracksRoundTrip:
         # the embedded slot geometry rebuilds the evaluation sequence
         assert sequence == TrackedSequence.from_tracking(output, pred)
 
+    def test_frame_missing_from_stream(self, tmp_path, bundle):
+        _, pred = bundle
+        output = track_video(pred)
+        missing = pred.frames[3].frame_index
+        shorter = VideoStream(header=pred.header,
+                              frames=pred.frames[:3] + pred.frames[4:])
+        path = tmp_path / "tracks.jsonl"
+        with pytest.raises(FrameAlignmentError, match=f"frame {missing} missing"):
+            io.write_tracking(output, shorter, path)
+        assert not path.exists()
+
 
 class TestMalformedFiles:
     def test_missing_file(self, tmp_path):
@@ -98,6 +110,21 @@ class TestMalformedFiles:
         path.write_text(json.dumps({"frame_index": 0, "assignments": []}) + "\n")
         with pytest.raises(StreamFormatError):
             io.read_tracking(path)
+
+    def test_stream_invariants_checked_on_read(self, tmp_path, bundle):
+        _, pred = bundle
+        path = tmp_path / "pred.jsonl"
+        io.write_stream(pred, path)
+        lines = path.read_text().splitlines()
+        for lineno in range(2, 7):  # five frames with one slot too few
+            frame = json.loads(lines[lineno - 1])
+            frame["slots"].pop()
+            lines[lineno - 1] = json.dumps(frame)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StreamFormatError) as info:
+            io.read_stream(path)
+        assert str(info.value).startswith(f"{path}: invalid stream")
+        assert str(info.value).count("slots, header declares") == 3
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
