@@ -40,7 +40,6 @@ from .tracker import (
     TrackRecord,
     TrackState,
     TrackSummary,
-    build_cost_matrix,
     iou_baseline_track,
     step,
     track_video,

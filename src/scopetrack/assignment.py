@@ -3,7 +3,7 @@
 solve() is a Hungarian solver in the potentials / shortest-augmenting-path
 formulation, handling rectangular matrices natively. Among cost-tied optima
 it returns the row-major lexicographically smallest pair set; ties are
-resolved exactly for integer-valued inputs (all arithmetic stays integral).
+resolved exactly for integer-valued inputs of any magnitude.
 brute_force_solve() is the independent enumeration oracle with the same
 contract.
 """
@@ -21,8 +21,8 @@ import numpy as np
 from .errors import DataError, InstanceTooLargeError
 
 _INF = float("inf")
-# Relative band for treating a reduced cost as zero; exact for integer inputs
-# because their reduced costs are themselves integers.
+# Relative band for treating a float reduced cost as zero. Integer-valued
+# inputs use none: their reduced costs are exact integers.
 _RC_ATOL = 1e-9
 
 
@@ -152,11 +152,9 @@ class _LexRefiner:
     vertex of the long side whose potential is strictly negative.
     """
 
-    def __init__(self, values, n_rows, n_cols, row_pot, col_pot):
+    def __init__(self, values, n_rows, n_cols, row_pot, col_pot, atol):
         self.n_rows = n_rows
         self.n_cols = n_cols
-        scale = max((abs(v) for row in values for v in row), default=0.0)
-        atol = _RC_ATOL * max(1.0, scale)
         self.adj = [
             [
                 j
@@ -223,6 +221,11 @@ def solve(m: CostMatrix) -> Assignment:
     if min(n_rows, n_cols) == 0:
         return Assignment(pairs=(), total_cost=0.0)
     values = m.values
+    if all(float(x).is_integer() for row in values for x in row):
+        values = tuple(tuple(int(x) for x in row) for row in values)
+        atol = 0
+    else:
+        atol = _RC_ATOL * max(1.0, max(abs(x) for row in values for x in row))
     if n_rows <= n_cols:
         u, v, _ = _hungarian(values, n_rows, n_cols)
         row_pot = [u[i + 1] for i in range(n_rows)]
@@ -234,8 +237,8 @@ def solve(m: CostMatrix) -> Assignment:
         u, v, _ = _hungarian(transposed, n_cols, n_rows)
         col_pot = [u[j + 1] for j in range(n_cols)]
         row_pot = [v[i + 1] for i in range(n_rows)]
-    pairs = _LexRefiner(values, n_rows, n_cols, row_pot, col_pot).run()
-    return Assignment(pairs=pairs, total_cost=_pair_cost(values, pairs))
+    pairs = _LexRefiner(values, n_rows, n_cols, row_pot, col_pot, atol).run()
+    return Assignment(pairs=pairs, total_cost=_pair_cost(m.values, pairs))
 
 
 _PERM_CACHE: dict[tuple[int, int], "np.ndarray"] = {}

@@ -94,9 +94,11 @@ def _load_json_object(path: str, what: str) -> dict:
 
 
 def _pick(flag, file_cfg: dict, key: str, default, kind=None):
-    """flag > config file > default; kind converts the picked value."""
+    """flag > config file > default; kind converts the picked value, int only checks it."""
     value = flag if flag is not None else file_cfg.get(key, default)
-    if kind is None:
+    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise DataError(f"{key} must be an integer, got {value!r}")
+    if kind in (None, int):
         return value
     try:
         return kind(value)
@@ -220,10 +222,7 @@ def _cmd_loss_check(args, file_cfg: dict) -> int:
     weights = _weights(args.weights, file_cfg)
     preds = io.read_stream(args.pred)
     gts = io.read_ground_truth(args.gt)
-    metrics.check_frame_alignment(
-        "prediction", [f.frame_index for f in preds.frames],
-        "ground-truth", [f.frame_index for f in gts.frames],
-    )
+    metrics.check_streams_aligned(preds, gts)
     print(json.dumps({"config": {"weights": weights.as_dict()}}))
     for frame, gt_frame in zip(preds.frames, gts.frames):
         breakdown = losses.total_loss(frame, gt_frame, weights, preds.header)

@@ -119,8 +119,7 @@ def _header_obj(header: StreamHeader) -> dict:
 def _parse_mask(obj: Any) -> RleMask | None:
     if obj is None:
         return None
-    return RleMask(height=int(obj["h"]), width=int(obj["w"]),
-                   runs=tuple(int(r) for r in obj["runs"]))
+    return RleMask(height=int(obj["h"]), width=int(obj["w"]), runs=obj["runs"])
 
 
 def _mask_obj(mask: RleMask | None) -> dict | None:
@@ -137,9 +136,9 @@ def _parse_box(obj: Any) -> BBox:
 def _parse_frame(obj: Any) -> FramePrediction:
     slots = tuple(
         QuerySlot(
-            embedding=tuple(float(v) for v in s["embedding"]),
+            embedding=s["embedding"],
             box=_parse_box(s["box"]),
-            classes=ClassDistribution(tuple(float(p) for p in s["probs"])),
+            classes=ClassDistribution(s["probs"]),
             mask=_parse_mask(s.get("mask")),
         )
         for s in obj["slots"]

@@ -68,7 +68,6 @@ class MatchResult:
     """Injective map gt index -> query index, K pairs."""
 
     pairs: tuple[tuple[int, int], ...]
-    unmatched_queries: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ def detr_match(frame: FramePrediction, gt: GroundTruthFrame, w: LossWeights,
     if k > n:
         raise CapacityError(f"{k} ground-truth objects but only {n} query slots")
     if k == 0:
-        return MatchResult(pairs=(), unmatched_queries=frozenset(range(n)))
+        return MatchResult(pairs=())
     rows = []
     for obj in gt.objects:
         row = []
@@ -188,12 +187,7 @@ def detr_match(frame: FramePrediction, gt: GroundTruthFrame, w: LossWeights,
             )
             row.append(cost)
         rows.append(tuple(row))
-    result = assignment.solve(assignment.CostMatrix(tuple(rows)))
-    matched_queries = {c for _, c in result.pairs}
-    return MatchResult(
-        pairs=result.pairs,
-        unmatched_queries=frozenset(range(n)) - matched_queries,
-    )
+    return MatchResult(pairs=assignment.solve(assignment.CostMatrix(tuple(rows))).pairs)
 
 
 def conditional_mask_loss(frame: FramePrediction, gt: GroundTruthFrame,

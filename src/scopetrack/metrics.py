@@ -25,7 +25,7 @@ from .model import (
     rle_decode,
     similarity,
 )
-from .tracker import TrackingOutput
+from .tracker import TrackingOutput, assigned_slots
 
 HOTA_ALPHAS = tuple(i / 100 for i in range(5, 100, 5))
 # mirrors the reference implementation's epsilon guard on the threshold test
@@ -79,21 +79,13 @@ class TrackedSequence:
     @classmethod
     def from_tracking(cls, tracking: TrackingOutput,
                       stream: VideoStream) -> "TrackedSequence":
-        by_frame = {f.frame_index: f for f in stream.frames}
-        frames = []
-        for fa in tracking.frames:
-            if fa.frame_index not in by_frame:
-                raise FrameAlignmentError(
-                    f"tracked frame {fa.frame_index} missing from stream"
-                )
-            slots = by_frame[fa.frame_index].slots
-            frames.append(tuple(
-                TrackedDet(tid, slots[slot].box, slots[slot].mask)
-                for slot, tid in fa.assignments
-            ))
         return cls(
             frame_indices=tuple(f.frame_index for f in tracking.frames),
-            frames=tuple(frames),
+            frames=tuple(
+                tuple(TrackedDet(tid, s.box, s.mask)
+                      for (_, tid), s in zip(fa.assignments, slots))
+                for fa, slots in assigned_slots(stream, tracking.frames)
+            ),
         )
 
 
@@ -342,7 +334,8 @@ def evaluate_tracking(gt: TrackedSequence, pred: TrackedSequence,
     )
 
 
-def _streams_aligned(preds: VideoStream, gts: GroundTruthStream) -> None:
+def check_streams_aligned(preds: VideoStream, gts: GroundTruthStream) -> None:
+    """Raise FrameAlignmentError unless the headers and frame indices agree."""
     ph, gh = preds.header, gts.header
     if (ph.frame_height, ph.frame_width, ph.classes) != (
             gh.frame_height, gh.frame_width, gh.classes):
@@ -369,15 +362,45 @@ def _detections(preds: VideoStream, tau: float):
     return out
 
 
+def _box_matches(dets_per_frame, gts: GroundTruthStream, match_iou: float,
+                 classes: Sequence[str] | None = None) -> tuple[int, int, int]:
+    """(tp, fp, fn) of greedy box matching, frame by frame.
+
+    Each detection, in confidence order, takes the unmatched object of
+    highest box IoU (the first on ties) if that IoU reaches match_iou. With
+    classes given, a detection only takes objects of its argmax class.
+    """
+    tp = fp = fn = 0
+    for dets, gt_frame in zip(dets_per_frame, gts.frames):
+        unmatched = list(range(len(gt_frame.objects)))
+        for _, _, slot in dets:
+            label = None if classes is None else classes[slot.classes.argmax()]
+            best = None
+            best_iou = -1.0
+            for gi in unmatched:
+                obj = gt_frame.objects[gi]
+                if label is not None and obj.class_label != label:
+                    continue
+                iou = box_iou(slot.box, obj.box)
+                if iou >= match_iou and iou > best_iou:
+                    best, best_iou = gi, iou
+            if best is None:
+                fp += 1
+            else:
+                tp += 1
+                unmatched.remove(best)
+        fn += len(unmatched)
+    return tp, fp, fn
+
+
 def eval_segmentation(preds: VideoStream, gts: GroundTruthStream,
                       tau: float = 0.5, match_iou: float = 0.5) -> DetEvalResult:
     """Image-wise dice/IoU on mask unions plus box-level precision/recall."""
-    _streams_aligned(preds, gts)
+    check_streams_aligned(preds, gts)
     h, w = gts.header.frame_height, gts.header.frame_width
     dets_per_frame = _detections(preds, tau)
     dice_vals = []
     iou_vals = []
-    tp = fp = fn = 0
     for dets, gt_frame in zip(dets_per_frame, gts.frames):
         pred_union = np.zeros((h, w), dtype=bool)
         for _, _, slot in dets:
@@ -393,21 +416,7 @@ def eval_segmentation(preds: VideoStream, gts: GroundTruthStream,
         dice_vals.append(2.0 * inter / (p_area + g_area) if p_area + g_area else 1.0)
         union = p_area + g_area - inter
         iou_vals.append(inter / union if union else 1.0)
-
-        unmatched = list(range(len(gt_frame.objects)))
-        for _, _, slot in dets:
-            best = None
-            best_iou = -1.0
-            for gi in unmatched:
-                iou = box_iou(slot.box, gt_frame.objects[gi].box)
-                if iou >= match_iou and iou > best_iou:
-                    best, best_iou = gi, iou
-            if best is None:
-                fp += 1
-            else:
-                tp += 1
-                unmatched.remove(best)
-        fn += len(unmatched)
+    tp, fp, fn = _box_matches(dets_per_frame, gts, match_iou)
     n_frames = max(1, len(dice_vals))
     return DetEvalResult(
         dice=sum(dice_vals) / n_frames,
@@ -421,33 +430,15 @@ def eval_segmentation(preds: VideoStream, gts: GroundTruthStream,
 def eval_classification_f1(preds: VideoStream, gts: GroundTruthStream,
                            tau: float = 0.5, match_iou: float = 0.5) -> float:
     """F1 where a true positive needs box IoU >= 0.5 and the right class."""
-    _streams_aligned(preds, gts)
+    check_streams_aligned(preds, gts)
     classes = gts.header.classes
-    tp = fp = fn = 0
-    for dets, gt_frame in zip(_detections(preds, tau), gts.frames):
+    for gt_frame in gts.frames:
         for obj in gt_frame.objects:
             if obj.class_label not in classes:
                 raise UnknownClassError(
                     f"ground-truth class {obj.class_label!r} not in {classes}"
                 )
-        unmatched = list(range(len(gt_frame.objects)))
-        for _, _, slot in dets:
-            pred_label = classes[slot.classes.argmax()]
-            best = None
-            best_iou = -1.0
-            for gi in unmatched:
-                obj = gt_frame.objects[gi]
-                if obj.class_label != pred_label:
-                    continue
-                iou = box_iou(slot.box, obj.box)
-                if iou >= match_iou and iou > best_iou:
-                    best, best_iou = gi, iou
-            if best is None:
-                fp += 1
-            else:
-                tp += 1
-                unmatched.remove(best)
-        fn += len(unmatched)
+    tp, fp, fn = _box_matches(_detections(preds, tau), gts, match_iou, classes)
     if tp + fp == 0 and tp + fn == 0:
         return 1.0
     precision = tp / (tp + fp) if tp + fp else 1.0

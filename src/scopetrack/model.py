@@ -138,7 +138,9 @@ class QuerySlot:
     mask: RleMask | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "embedding", tuple(float(v) for v in self.embedding))
+        # from a list, tuple() allocates once at the final size; from a
+        # generator it grows and shrinks, fragmenting the heap on wide embeddings
+        object.__setattr__(self, "embedding", tuple([float(v) for v in self.embedding]))
         if any(not math.isfinite(v) for v in self.embedding):
             raise DimensionError("slot embedding has non-finite values")
 

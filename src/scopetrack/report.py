@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError, StreamFormatError
 from .model import VideoStream
-from .tracker import TrackingOutput
+from .tracker import TrackingOutput, track_table
 
 _COLUMNS = ("ID", "Type", "Conf", "Fr.Ct.", "1st.Fr.", "Last Fr.")
 
@@ -41,37 +41,26 @@ class ExamReport:
 
 def generate_report(tracking: TrackingOutput, stream: VideoStream,
                     min_frames: int = 1) -> ExamReport:
-    """Summarize every track with at least min_frames observations."""
+    """Summarize every track with at least min_frames observations.
+
+    The rows come from the tracking's per-frame assignments joined with the
+    stream, as the tracker builds its track table.
+    """
     if min_frames < 1:
         raise DataError(f"min_frames must be >= 1, got {min_frames}")
-    by_frame = {f.frame_index: f for f in stream.frames}
     classes = stream.header.classes
     entries = []
-    for track in tracking.tracks:
-        if len(track.observations) < min_frames:
+    for track in track_table(stream, tracking.frames):
+        if track.frame_count < min_frames:
             continue
-        probs = []
-        for frame_index, slot in track.observations:
-            if frame_index not in by_frame:
-                raise DataError(
-                    f"track {track.track_id} observes frame {frame_index}, "
-                    "which is not in the stream"
-                )
-            frame = by_frame[frame_index]
-            if not 0 <= slot < len(frame.slots):
-                raise DataError(
-                    f"track {track.track_id} observes slot {slot} outside the frame"
-                )
-            probs.append(frame.slots[slot].classes.probs)
-        mean = np.asarray(probs, dtype=np.float64).mean(axis=0)
-        best = int(np.argmax(mean))
+        best = int(np.argmax(track.mean_probs))
         entries.append(PolypReportEntry(
             polyp_id=track.track_id,
             polyp_type=classes[best],
-            confidence=float(mean[best]),
-            frame_count=len(track.observations),
-            first_frame=track.observations[0][0],
-            last_frame=track.observations[-1][0],
+            confidence=track.mean_probs[best],
+            frame_count=track.frame_count,
+            first_frame=track.first_frame,
+            last_frame=track.last_frame,
         ))
     entries.sort(key=lambda e: (e.first_frame, e.polyp_id))
     config = dict(tracking.config)

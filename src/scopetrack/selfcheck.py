@@ -1,8 +1,9 @@
 """Built-in oracle suites runnable from the command line.
 
 Each suite cross-checks a fast implementation against an independent
-reference: the assignment solver against exhaustive enumeration, the mask
-codec against a round trip, and HOTA against closed-form tiny instances.
+reference: the assignment solver against exhaustive enumeration on small
+and on large integers, the mask codec against a round trip, and HOTA
+against closed-form tiny instances.
 """
 
 from __future__ import annotations
@@ -16,17 +17,20 @@ from .metrics import TrackedDet, TrackedSequence, eval_hota
 from .model import BBox, rle_decode, rle_encode
 
 
-def _check_assignment(n_instances: int = 300) -> tuple[bool, str]:
-    rng = np.random.Generator(np.random.Philox(20240501))
+def _check_assignment(n_instances: int = 300, large: bool = False) -> tuple[bool, str]:
+    """Random integer matrices; large ones are tie-heavy and offset by 1e9 to 1e15."""
+    rng = np.random.Generator(np.random.Philox(20240503 if large else 20240501))
+    spread = 5 if large else 100
     for _ in range(n_instances):
         rows = int(rng.integers(1, 7))
         cols = int(rng.integers(1, 7))
-        values = rng.integers(-100, 101, size=(rows, cols))
-        m = assignment.CostMatrix(tuple(tuple(int(v) for v in row) for row in values))
+        offset = 10 ** int(rng.integers(9, 16)) if large else 0
+        values = rng.integers(-spread, spread + 1, size=(rows, cols))
+        m = assignment.CostMatrix(tuple(tuple(offset + int(v) for v in row) for row in values))
         got = assignment.solve(m)
         want = assignment.brute_force_solve(m)
         if got.total_cost != want.total_cost or got.pairs != want.pairs:
-            return False, f"mismatch on {values.tolist()}: {got} vs {want}"
+            return False, f"mismatch on {m.values}: {got} vs {want}"
     return True, f"{n_instances} random matrices agree with brute force"
 
 
@@ -69,6 +73,7 @@ def _check_hota() -> tuple[bool, str]:
 def run_selfcheck() -> list[tuple[str, bool, str]]:
     return [
         ("assignment-oracle", *_check_assignment()),
+        ("assignment-large-integers", *_check_assignment(large=True)),
         ("rle-round-trip", *_check_rle()),
         ("hota-tiny-oracle", *_check_hota()),
     ]

@@ -12,12 +12,12 @@ them once the fold is done.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import assignment
-from .errors import DataError
+from .errors import DataError, FrameAlignmentError
 from .model import FramePrediction, QuerySlot, VideoStream, similarity, validate_stream
 
 _ZERO_NORM = 1e-12
@@ -126,11 +126,6 @@ def _cosine_scores(prev: np.ndarray, curr: np.ndarray) -> np.ndarray:
     return sims
 
 
-def build_cost_matrix(prev: np.ndarray, curr: np.ndarray) -> assignment.CostMatrix:
-    """Negated cosine similarities: the solver minimizes, matching maximizes."""
-    return assignment.CostMatrix((-_cosine_scores(prev, curr)).tolist())
-
-
 def _query_scores(live, slots, nonempty):
     """Cosine against every slot, empty ones included."""
     prev = np.asarray([t.last.embedding for t in live], dtype=np.float64)
@@ -197,15 +192,37 @@ def step(state: TrackState, frame: FramePrediction,
     return _advance(state, frame, cfg, _query_scores, cfg.similarity_floor)
 
 
-def _track_table(stream: VideoStream,
-                 frames: Sequence[FrameAssignments]) -> tuple[TrackSummary, ...]:
+def assigned_slots(stream: VideoStream, frames: Sequence[FrameAssignments]
+                   ) -> Iterator[tuple[FrameAssignments, tuple[QuerySlot, ...]]]:
+    """Each tracked frame with the stream slots its assignments name, in order.
+
+    Frames are looked up by frame index. A tracked frame missing from the
+    stream raises FrameAlignmentError; a slot outside its frame, negative
+    ones included, raises DataError.
+    """
+    by_frame = {f.frame_index: f.slots for f in stream.frames}
+    for fa in frames:
+        slots = by_frame.get(fa.frame_index)
+        if slots is None:
+            raise FrameAlignmentError(f"tracked frame {fa.frame_index} missing from stream")
+        for slot, track_id in fa.assignments:
+            if not 0 <= slot < len(slots):
+                raise DataError(
+                    f"tracked frame {fa.frame_index} assigns slot {slot} to track "
+                    f"{track_id}, outside the frame's {len(slots)} slots"
+                )
+        yield fa, tuple(slots[slot] for slot, _ in fa.assignments)
+
+
+def track_table(stream: VideoStream,
+                frames: Sequence[FrameAssignments]) -> tuple[TrackSummary, ...]:
     """Per-track observations and mean class probabilities, by track id."""
     observations: dict[int, list[tuple[int, int]]] = {}
     probs: dict[int, list[tuple[float, ...]]] = {}
-    for frame, fa in zip(stream.frames, frames):
-        for slot, track_id in fa.assignments:
+    for fa, slots in assigned_slots(stream, frames):
+        for (slot, track_id), query in zip(fa.assignments, slots):
             observations.setdefault(track_id, []).append((fa.frame_index, slot))
-            probs.setdefault(track_id, []).append(frame.slots[slot].classes.probs)
+            probs.setdefault(track_id, []).append(query.classes.probs)
     return tuple(
         TrackSummary(
             track_id=track_id,
@@ -229,7 +246,7 @@ def _run(stream: VideoStream, cfg: TrackerConfig, scorer: Callable,
         frames.append(out)
     return TrackingOutput(
         frames=tuple(frames),
-        tracks=_track_table(stream, frames),
+        tracks=track_table(stream, frames),
         config=tuple(sorted({**cfg.as_dict(), **config}.items())),
     )
 

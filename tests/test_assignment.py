@@ -40,6 +40,14 @@ class TestExamples:
         assert got.total_cost == 2
         assert brute_force_solve(m) == got
 
+    def test_large_integers_exact(self):
+        # a tolerance scaled by the entries' magnitude would call 1 a tie here
+        m = CostMatrix(((10**9, 10**9 + 1), (10**9 + 1, 10**9 + 3)))
+        got = solve(m)
+        assert got.pairs == ((0, 1), (1, 0))
+        assert got.total_cost == 2_000_000_002
+        assert brute_force_solve(m) == got
+
     def test_brute_force_single(self):
         assert brute_force_solve(CostMatrix(((5,),))) == Assignment(((0, 0),), 5)
 
@@ -81,6 +89,19 @@ class TestOracleEquivalence:
             got, want = solve(m), brute_force_solve(m)
             assert got.pairs == want.pairs, m.values
             assert got.total_cost == want.total_cost
+
+    @pytest.mark.parametrize("offset", [10**9, 10**12, 10**15, 1e15, 2.0**70])
+    def test_large_integer_matrices(self, offset):
+        # integer-valued entries tie exactly at any magnitude, int or float typed
+        rng = np.random.Generator(np.random.Philox(104))
+        for _ in range(300):
+            small = random_matrix(rng, max_dim=6, integral=True, span=5)
+            step = 2**18 if offset == 2.0**70 else 1
+            m = CostMatrix(tuple(tuple(offset + step * v for v in row)
+                                 for row in small.values))
+            got, want = solve(m), brute_force_solve(m)
+            assert got.pairs == want.pairs, m.values
+            assert got.total_cost == want.total_cost, m.values
 
     def test_all_equal_entries_pick_lexicographic(self):
         m = CostMatrix(tuple(tuple(3 for _ in range(5)) for _ in range(5)))

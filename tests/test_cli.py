@@ -184,7 +184,8 @@ class TestGlobalFlags:
     def test_selfcheck_passes(self, capsys):
         assert run(["selfcheck"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 3
+        assert out.count("PASS") == 4
+        assert "PASS assignment-large-integers" in out
 
 
 class TestErrorPaths:
@@ -283,19 +284,33 @@ def _weights_file(text):
     return case
 
 
-def _config_file(text, key=None):
-    def case(tmp_path, gt_path, pred_path):
-        (tmp_path / "cfg.json").write_text(text)
-        return ["--config", "cfg.json", "track", "--in", str(pred_path),
-                "--out", "t.jsonl"], key
-    return case
-
-
 def _tracks_for(tmp_path, pred_path):
     tracks = tmp_path / "tracks.jsonl"
     stream = io.read_stream(pred_path)
     io.write_tracking(track_video(stream), stream, tracks)
     return tracks
+
+
+def _config_file(text, key=None, command="track"):
+    """Run `command` with a --config file holding `text`."""
+    def case(tmp_path, gt_path, pred_path):
+        (tmp_path / "cfg.json").write_text(text)
+        if command == "track":
+            argv = ["track", "--in", str(pred_path), "--out", "t.jsonl"]
+        elif command == "report":
+            argv = ["report", "--tracks", str(_tracks_for(tmp_path, pred_path)),
+                    "--stream", str(pred_path)]
+        else:
+            argv = ["synth", "--scenario", "static", "--out-gt", "g.jsonl",
+                    "--out-pred", "p.jsonl"]
+        return ["--config", "cfg.json"] + argv, key
+    return case
+
+
+def _loss_check_header_mismatch(tmp_path, gt_path, pred_path):
+    _rewrite_line(gt_path, 1, lambda h: h.__setitem__("frame_width", h["frame_width"] + 1))
+    return (["loss-check", "--pred", str(pred_path), "--gt", str(gt_path)],
+            "headers disagree")
 
 
 def _extra_prob(command):
@@ -347,6 +362,12 @@ _BAD_INPUTS = {
         "class", "carcinoid")),
     "config_carry_forward_string": _config_file('{"carry_forward": "false"}', "carry_forward"),
     "config_patience_not_integral": _config_file('{"patience": 2.9}', "patience"),
+    "config_min_frames_not_integral": _config_file('{"min_frames": 2.9}', "min_frames",
+                                                   "report"),
+    "config_seed_not_integral": _config_file('{"seed": 2.9}', "seed", "synth"),
+    "config_min_frames_boolean": _config_file('{"min_frames": true}', "min_frames",
+                                              "report"),
+    "loss_check_header_mismatch": _loss_check_header_mismatch,
 }
 
 

@@ -202,7 +202,6 @@ class TestDetrMatch:
         frame, _ = random_instance(np.random.default_rng(0), 0, 3)
         match = detr_match(frame, gt_frame([]), LossWeights(), make_header(3))
         assert match.pairs == ()
-        assert match.unmatched_queries == frozenset({0, 1, 2})
 
     def test_prefers_overlapping_correct_class(self):
         header = make_header(2)
@@ -213,7 +212,6 @@ class TestDetrMatch:
         gt = gt_frame([GroundTruthObject(0, BBox(0, 0, 11, 10), "AD")])
         match = detr_match(frame, gt, LossWeights(), header)
         assert match.pairs == ((0, 0),)
-        assert match.unmatched_queries == frozenset({1})
 
     def test_capacity_error(self):
         header = make_header(1)

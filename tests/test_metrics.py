@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -8,9 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_slot, make_stream, unit_vec
 from scopetrack import assignment
 from scopetrack.assignment import CostMatrix, solve
-from scopetrack.errors import FrameAlignmentError, UndefinedMetricError, UnknownClassError
+from scopetrack.errors import (
+    DataError,
+    FrameAlignmentError,
+    UndefinedMetricError,
+    UnknownClassError,
+)
 from scopetrack.metrics import (
     ALPHA_MARGIN,
     HOTA_ALPHAS,
@@ -38,6 +45,7 @@ from scopetrack.model import (
     box_iou,
     rle_encode,
 )
+from scopetrack.tracker import FrameAssignments, track_video
 
 BOX = (0.0, 0.0, 10.0, 10.0)
 
@@ -858,3 +866,15 @@ class TestAlignmentMessages:
         with pytest.raises(FrameAlignmentError,
                            match="position 6, prediction has frame 6 and ground-truth has frame 7"):
             eval_segmentation(pred, late)
+
+
+class TestFromTracking:
+    @pytest.mark.parametrize("slot", [2, 7, -1])
+    def test_slot_outside_frame_is_data_error(self, header, slot):
+        stream = make_stream(header, [[make_slot(unit_vec(0)), make_slot(unit_vec(1))]] * 3)
+        tracking = track_video(stream)
+        frames = list(tracking.frames)
+        frames[1] = FrameAssignments(1, ((slot, 0),))
+        broken = dataclasses.replace(tracking, frames=tuple(frames))
+        with pytest.raises(DataError, match=f"slot {slot} to track 0, outside"):
+            TrackedSequence.from_tracking(broken, stream)

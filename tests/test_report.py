@@ -1,12 +1,22 @@
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from conftest import make_empty_slot, make_slot, make_stream, unit_vec
+from scopetrack import synth
 from scopetrack.errors import DataError
-from scopetrack.report import generate_report, parse_report, render_report
-from scopetrack.tracker import track_video
-from scopetrack.model import FramePrediction, VideoStream
+from scopetrack.report import (
+    ExamReport,
+    PolypReportEntry,
+    generate_report,
+    parse_report,
+    render_report,
+)
+from scopetrack.tracker import iou_baseline_track, track_video
+from scopetrack.model import ClassDistribution, FramePrediction, VideoStream
 
 
 def tracked_stream(header, probs_by_frame):
@@ -16,6 +26,66 @@ def tracked_stream(header, probs_by_frame):
     ]
     stream = make_stream(header, frames)
     return stream, track_video(stream)
+
+
+def reference_report(tracking, stream, min_frames=1):
+    """Report from the track table's observations, each looked up in the stream."""
+    by_frame = {f.frame_index: f for f in stream.frames}
+    entries = []
+    for track in tracking.tracks:
+        if len(track.observations) < min_frames:
+            continue
+        probs = [by_frame[f].slots[slot].classes.probs for f, slot in track.observations]
+        mean = np.asarray(probs, dtype=np.float64).mean(axis=0)
+        best = int(np.argmax(mean))
+        entries.append(PolypReportEntry(
+            polyp_id=track.track_id,
+            polyp_type=stream.header.classes[best],
+            confidence=float(mean[best]),
+            frame_count=len(track.observations),
+            first_frame=track.observations[0][0],
+            last_frame=track.observations[-1][0],
+        ))
+    entries.sort(key=lambda e: (e.first_frame, e.polyp_id))
+    config = dict(tracking.config, min_frames=min_frames)
+    return ExamReport(video_id=stream.header.video_id, entries=tuple(entries),
+                      config=tuple(sorted(config.items())))
+
+
+def masked_config(seed):
+    return synth.SynthConfig(with_masks=True, n_frames=30, seed=seed, motion_amplitude=0.05,
+                             embedding_drift=0.05, occlusions=((0, 10, 4),))
+
+
+class TestReferenceReport:
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_synth_suite(self, seed):
+        for bundle in synth.scenario_suite(seed):
+            self.check(bundle.predictions)
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_masked_streams(self, seed):
+        self.check(synth.generate(masked_config(seed))[1])
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_varying_probabilities(self, seed):
+        # synth keeps each object's probabilities fixed; redraw them per slot
+        rng = np.random.default_rng(seed)
+        stream = synth.scenario_suite(seed)[0].predictions
+        self.check(VideoStream(header=stream.header, frames=tuple(
+            FramePrediction(f.frame_index, tuple(
+                dataclasses.replace(s, classes=ClassDistribution(
+                    tuple(float(p) for p in rng.dirichlet((1.0, 1.0, 0.3))[:2])))
+                for s in f.slots))
+            for f in stream.frames)))
+
+    @staticmethod
+    def check(stream):
+        for tracking in (track_video(stream), iou_baseline_track(stream)):
+            assert tracking.tracks
+            for min_frames in (1, 3, 30):
+                assert generate_report(tracking, stream, min_frames) == reference_report(
+                    tracking, stream, min_frames)
 
 
 class TestGenerateReport:

@@ -14,7 +14,6 @@ from scopetrack.model import (
 from scopetrack.tracker import (
     TrackerConfig,
     TrackState,
-    build_cost_matrix,
     iou_baseline_track,
     step,
     track_video,
@@ -45,23 +44,6 @@ def gap_stream(header, gap: int) -> VideoStream:
 
 def assigned_ids(output):
     return [dict(f.assignments) for f in output.frames]
-
-
-class TestCostMatrix:
-    def test_identical_sets_give_diagonal(self):
-        e = np.eye(3)
-        m = build_cost_matrix(e, e)
-        assert [m.values[i][i] for i in range(3)] == [-1.0, -1.0, -1.0]
-
-    def test_orthogonal_pair(self):
-        m = build_cost_matrix(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
-        assert m.values == ((0.0,),)
-
-    def test_swap_recovered_by_solver(self):
-        from scopetrack.assignment import solve
-        u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        m = build_cost_matrix(np.stack([u, v]), np.stack([v, u]))
-        assert solve(m).pairs == ((0, 1), (1, 0))
 
 
 class TestStepSemantics:
