@@ -1,7 +1,7 @@
 """Tracking and evaluation toolkit for serialized colonoscopy detection streams."""
 
 from .assignment import Assignment, CostMatrix, brute_force_solve, solve
-from .losses import LossBreakdown, LossWeights, MatchResult, detr_match, total_loss
+from .losses import LossBreakdown, LossWeights, detr_match, total_loss
 from .metrics import (
     DetEvalResult,
     TrackedDet,

@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import io, losses, metrics, report as report_mod, synth, tracker
 from .errors import DataError
+from .model import require_int
 from .selfcheck import run_selfcheck
 
 EXIT_OK = 0
@@ -79,26 +79,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_json_object(path: str, what: str) -> dict:
-    """The JSON object held by a --config or --weights file."""
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"{what} file not found: {p}")
-    try:
-        obj = json.loads(p.read_text())
-    except ValueError as exc:  # invalid JSON or not UTF-8
-        raise DataError(f"{what} file {p} is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise DataError(f"{what} file {p} must hold a JSON object")
-    return obj
-
-
 def _pick(flag, file_cfg: dict, key: str, default, kind=None):
     """flag > config file > default; kind converts the picked value, int only checks it."""
     value = flag if flag is not None else file_cfg.get(key, default)
-    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise DataError(f"{key} must be an integer, got {value!r}")
-    if kind in (None, int):
+    if kind is int:
+        return require_int(value, key)
+    if kind is None:
         return value
     try:
         return kind(value)
@@ -118,7 +104,7 @@ def _tracker_config(args, file_cfg: dict) -> tracker.TrackerConfig:
 
 def _weights(path: str | None, file_cfg: dict) -> losses.LossWeights:
     if path is not None:
-        obj = _load_json_object(path, "weights")
+        obj = io.load_json_object(path)
     else:
         obj = file_cfg.get("weights", {})
     if not isinstance(obj, dict):
@@ -261,7 +247,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        file_cfg = {} if args.config is None else _load_json_object(args.config, "config")
+        file_cfg = {} if args.config is None else io.load_json_object(args.config)
         return _COMMANDS[args.command](args, file_cfg)
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,17 +2,18 @@
 
 Line 1 of every stream file is the header object; every later line is one
 frame. Floats go through json's repr serialization, which round-trips
-exactly. The stream and ground-truth readers also check the model's
-invariants (validate_stream, validate_ground_truth); a file that breaks
-them raises StreamFormatError naming the path and the first three
-violations.
+exactly; integer fields must be JSON integers. The stream and ground-truth
+readers also check the model's invariants (validate_stream,
+validate_ground_truth); a file that breaks them raises StreamFormatError
+naming the path and the first three violations.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .errors import DataError, StreamFormatError
 from .metrics import TrackedDet, TrackedSequence
@@ -27,16 +28,18 @@ from .model import (
     RleMask,
     StreamHeader,
     VideoStream,
+    require_int,
     validate_ground_truth,
     validate_stream,
 )
-from .tracker import FrameAssignments, TrackingOutput, TrackSummary
+from .tracker import FrameAssignments, TrackingOutput, TrackSummary, track_observations
 
 _HEADER_KEYS = ("n_queries", "embed_dim", "frame_height", "frame_width", "classes")
 
 
-def _load_lines(path: str | Path) -> list[tuple[int, Any]]:
-    """The (line number, decoded object) pairs of the non-blank lines."""
+def _load(path: str | Path, whole: bool = False) -> list[tuple[int, Any]]:
+    """The (line number, decoded object) pairs of the non-blank lines, or
+    with whole, of the entire text as line 1: the decoder of every input file."""
     p = Path(path)
     if not p.exists():
         raise StreamFormatError(f"file not found: {p}")
@@ -45,16 +48,32 @@ def _load_lines(path: str | Path) -> list[tuple[int, Any]]:
     except UnicodeDecodeError as exc:
         raise StreamFormatError(f"{p}: not UTF-8 text: {exc}") from exc
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in [(1, text)] if whole else enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
         try:
             out.append((lineno, json.loads(raw)))
-        except json.JSONDecodeError as exc:
+        except RecursionError as exc:
+            raise StreamFormatError(f"{p}:{lineno}: invalid JSON: nested too deeply") from exc
+        except ValueError as exc:  # malformed, or an integer literal too long to convert
             raise StreamFormatError(f"{p}:{lineno}: invalid JSON: {exc}") from exc
     if not out:
-        raise StreamFormatError(f"{p}: empty stream file")
+        raise StreamFormatError(f"{p}: empty file")
     return out
+
+
+def load_json_object(path: str | Path) -> dict:
+    """The JSON object a whole file holds, as --config and --weights files do."""
+    [(_, obj)] = _load(path, whole=True)
+    if not isinstance(obj, dict):
+        raise StreamFormatError(f"{path}: not a JSON object")
+    return obj
+
+
+def _write_lines(path: str | Path, objs: Iterable[Any]) -> None:
+    """One JSON object per line; the text is complete before the file is opened."""
+    text = "\n".join(map(json.dumps, objs)) + "\n"
+    Path(path).write_text(text)
 
 
 def _parse_records(path: str | Path, lines: list[tuple[int, Any]], what: str,
@@ -74,31 +93,25 @@ def _parse_records(path: str | Path, lines: list[tuple[int, Any]], what: str,
     return out
 
 
+def _int(obj: Any, key: str) -> int:
+    return require_int(obj[key], key)
+
+
 def _header_from(obj: Any) -> StreamHeader:
+    if not isinstance(obj, dict) or any(k not in obj for k in _HEADER_KEYS):
+        raise StreamFormatError("first line is not a stream header")
     extra = {k: v for k, v in obj.items()
              if k not in _HEADER_KEYS and k not in ("version", "video_id")}
     return StreamHeader(
-        n_queries=int(obj["n_queries"]),
-        embed_dim=int(obj["embed_dim"]),
-        frame_height=int(obj["frame_height"]),
-        frame_width=int(obj["frame_width"]),
+        n_queries=_int(obj, "n_queries"),
+        embed_dim=_int(obj, "embed_dim"),
+        frame_height=_int(obj, "frame_height"),
+        frame_width=_int(obj, "frame_width"),
         classes=tuple(str(c) for c in obj["classes"]),
-        version=int(obj.get("version", 1)),
+        version=require_int(obj.get("version", 1), "version"),
         video_id=str(obj.get("video_id", "")),
         extra=extra,
     )
-
-
-def _require_valid(path: str | Path, violations: list[str]) -> None:
-    if violations:
-        raise StreamFormatError(f"{path}: invalid stream: " + "; ".join(violations[:3]))
-
-
-def _parse_header(lines: list[tuple[int, Any]], path: str | Path) -> StreamHeader:
-    lineno, obj = lines[0]
-    if not isinstance(obj, dict) or any(k not in obj for k in _HEADER_KEYS):
-        raise StreamFormatError(f"{path}:{lineno}: first line is not a stream header")
-    return _parse_records(path, lines[:1], "stream header", _header_from)[0]
 
 
 def _header_obj(header: StreamHeader) -> dict:
@@ -116,10 +129,24 @@ def _header_obj(header: StreamHeader) -> dict:
     return obj
 
 
+def _read_frames(path: str | Path, what: str, parse_frame: Callable[[Any], Any],
+                 container: type, validate: Callable[[Any], list[str]]):
+    """A header line, then one parse_frame record per line, checked by validate."""
+    lines = _load(path)
+    header = _parse_records(path, lines[:1], "stream header", _header_from)[0]
+    frames = _parse_records(path, lines[1:], what, parse_frame)
+    stream = container(header=header, frames=tuple(frames))
+    violations = validate(stream)
+    if violations:
+        raise StreamFormatError(f"{path}: invalid stream: " + "; ".join(violations[:3]))
+    return stream
+
+
 def _parse_mask(obj: Any) -> RleMask | None:
     if obj is None:
         return None
-    return RleMask(height=int(obj["h"]), width=int(obj["w"]), runs=obj["runs"])
+    return RleMask(height=_int(obj, "h"), width=_int(obj, "w"),
+                   runs=[require_int(r, "runs") for r in obj["runs"]])
 
 
 def _mask_obj(mask: RleMask | None) -> dict | None:
@@ -143,74 +170,72 @@ def _parse_frame(obj: Any) -> FramePrediction:
         )
         for s in obj["slots"]
     )
-    return FramePrediction(frame_index=int(obj["frame_index"]), slots=slots)
+    return FramePrediction(frame_index=_int(obj, "frame_index"), slots=slots)
 
 
 def read_stream(path: str | Path) -> VideoStream:
-    lines = _load_lines(path)
-    header = _parse_header(lines, path)
-    frames = _parse_records(path, lines[1:], "frame record", _parse_frame)
-    stream = VideoStream(header=header, frames=tuple(frames))
-    _require_valid(path, validate_stream(stream))
-    return stream
+    return _read_frames(path, "frame record", _parse_frame, VideoStream, validate_stream)
 
 
 def write_stream(stream: VideoStream, path: str | Path) -> None:
-    lines = [json.dumps(_header_obj(stream.header))]
-    for frame in stream.frames:
-        lines.append(json.dumps({
-            "frame_index": frame.frame_index,
-            "slots": [
-                {
-                    "embedding": list(s.embedding),
-                    "box": list(s.box.as_tuple()),
-                    "probs": list(s.classes.probs),
-                    "mask": _mask_obj(s.mask),
-                }
-                for s in frame.slots
-            ],
-        }))
-    Path(path).write_text("\n".join(lines) + "\n")
+    frames = ({
+        "frame_index": frame.frame_index,
+        "slots": [
+            {
+                "embedding": list(s.embedding),
+                "box": list(s.box.as_tuple()),
+                "probs": list(s.classes.probs),
+                "mask": _mask_obj(s.mask),
+            }
+            for s in frame.slots
+        ],
+    } for frame in stream.frames)
+    _write_lines(path, chain([_header_obj(stream.header)], frames))
 
 
 def _parse_gt_frame(obj: Any) -> GroundTruthFrame:
     objects = tuple(
         GroundTruthObject(
-            gt_track_id=int(o["gt_track_id"]),
+            gt_track_id=_int(o, "gt_track_id"),
             box=_parse_box(o["box"]),
             class_label=str(o["class"]),
             mask=_parse_mask(o.get("mask")),
         )
         for o in obj["objects"]
     )
-    return GroundTruthFrame(frame_index=int(obj["frame_index"]), objects=objects)
+    return GroundTruthFrame(frame_index=_int(obj, "frame_index"), objects=objects)
 
 
 def read_ground_truth(path: str | Path) -> GroundTruthStream:
-    lines = _load_lines(path)
-    header = _parse_header(lines, path)
-    frames = _parse_records(path, lines[1:], "ground-truth record", _parse_gt_frame)
-    gts = GroundTruthStream(header=header, frames=tuple(frames))
-    _require_valid(path, validate_ground_truth(gts))
-    return gts
+    return _read_frames(path, "ground-truth record", _parse_gt_frame, GroundTruthStream,
+                        validate_ground_truth)
 
 
 def write_ground_truth(stream: GroundTruthStream, path: str | Path) -> None:
-    lines = [json.dumps(_header_obj(stream.header))]
-    for frame in stream.frames:
-        lines.append(json.dumps({
-            "frame_index": frame.frame_index,
-            "objects": [
-                {
-                    "gt_track_id": o.gt_track_id,
-                    "box": list(o.box.as_tuple()),
-                    "mask": _mask_obj(o.mask),
-                    "class": o.class_label,
-                }
-                for o in frame.objects
-            ],
-        }))
-    Path(path).write_text("\n".join(lines) + "\n")
+    frames = ({
+        "frame_index": frame.frame_index,
+        "objects": [
+            {
+                "gt_track_id": o.gt_track_id,
+                "box": list(o.box.as_tuple()),
+                "mask": _mask_obj(o.mask),
+                "class": o.class_label,
+            }
+            for o in frame.objects
+        ],
+    } for frame in stream.frames)
+    _write_lines(path, chain([_header_obj(stream.header)], frames))
+
+
+def _track_row(t: TrackSummary) -> dict:
+    return {
+        "track_id": t.track_id,
+        "observations": [list(o) for o in t.observations],
+        "mean_probs": list(t.mean_probs),
+        "first_frame": t.first_frame,
+        "last_frame": t.last_frame,
+        "frame_count": t.frame_count,
+    }
 
 
 def write_tracking(output: TrackingOutput, stream: VideoStream, path: str | Path) -> None:
@@ -222,73 +247,78 @@ def write_tracking(output: TrackingOutput, stream: VideoStream, path: str | Path
     written.
     """
     sequence = TrackedSequence.from_tracking(output, stream)
-    lines = []
-    for fa, dets in zip(output.frames, sequence.frames):
-        lines.append(json.dumps({
-            "frame_index": fa.frame_index,
-            "assignments": [
-                {
-                    "slot": slot,
-                    "track_id": det.track_id,
-                    "box": list(det.box.as_tuple()),
-                    "mask": _mask_obj(det.mask),
-                }
-                for (slot, _), det in zip(fa.assignments, dets)
-            ],
-        }))
-    lines.append(json.dumps({
-        "track_table": [
+    frames = ({
+        "frame_index": fa.frame_index,
+        "assignments": [
             {
-                "track_id": t.track_id,
-                "observations": [list(o) for o in t.observations],
-                "mean_probs": list(t.mean_probs),
-                "first_frame": t.first_frame,
-                "last_frame": t.last_frame,
-                "frame_count": t.frame_count,
+                "slot": slot,
+                "track_id": det.track_id,
+                "box": list(det.box.as_tuple()),
+                "mask": _mask_obj(det.mask),
             }
-            for t in output.tracks
+            for (slot, _), det in zip(fa.assignments, dets)
         ],
-        "config": output.config_dict(),
-    }))
-    Path(path).write_text("\n".join(lines) + "\n")
+    } for fa, dets in zip(output.frames, sequence.frames))
+    table = {"track_table": [_track_row(t) for t in output.tracks],
+             "config": output.config_dict()}
+    _write_lines(path, chain(frames, [table]))
 
 
 def _parse_tracked_frame(obj: Any) -> tuple[FrameAssignments, tuple[TrackedDet, ...]]:
+    frame_index = _int(obj, "frame_index")
     records = obj["assignments"]
-    assignments = tuple((int(rec["slot"]), int(rec["track_id"])) for rec in records)
+    assignments = tuple((_int(rec, "slot"), _int(rec, "track_id")) for rec in records)
+    for name, values in zip(("slot", "track_id"), zip(*assignments)):
+        if len(set(values)) < len(values):
+            raise StreamFormatError(f"frame {frame_index} repeats a {name}: {list(values)}")
     dets = tuple(
         TrackedDet(track_id, _parse_box(rec["box"]), _parse_mask(rec.get("mask")))
         for (_, track_id), rec in zip(assignments, records)
     )
-    return FrameAssignments(frame_index=int(obj["frame_index"]),
-                            assignments=assignments), dets
+    return FrameAssignments(frame_index=frame_index, assignments=assignments), dets
 
 
-def _parse_track_table(tail: Any) -> tuple[tuple[TrackSummary, ...], tuple]:
+def _parse_track_table(tail: Any, frames: tuple[FrameAssignments, ...]
+                       ) -> tuple[tuple[TrackSummary, ...], tuple]:
+    """The table's tracks; each row must be the one write_tracking writes for
+    the observations on the assignment lines and the row's mean_probs."""
+    rows = tail["track_table"]
+    for row in rows:
+        _int(row, "track_id")
+        for value in chain.from_iterable(row["observations"]):
+            require_int(value, "observations")
+    observed = track_observations(frames)
     tracks = tuple(
-        TrackSummary(
-            track_id=int(t["track_id"]),
-            observations=tuple((int(f), int(s)) for f, s in t["observations"]),
-            mean_probs=tuple(float(p) for p in t["mean_probs"]),
-        )
-        for t in tail["track_table"]
+        TrackSummary(track_id, observations, tuple(float(p) for p in row["mean_probs"]))
+        for (track_id, observations), row in zip(observed.items(), rows)
     )
+    if len(rows) != len(observed) or [_track_row(t) for t in tracks] != rows:
+        raise StreamFormatError("track table disagrees with the assignment lines")
     return tracks, tuple(sorted(tail.get("config", {}).items()))
 
 
 def read_tracking(path: str | Path) -> tuple[TrackingOutput, TrackedSequence]:
     """Read a tracks file; also return its assigned detections for evaluation.
 
-    The sequence equals TrackedSequence.from_tracking(output, stream) for
-    the stream the file was written from.
+    No frame may repeat a slot or a track id, frames must be in order, and
+    the track table must match the assignment lines. The sequence equals
+    TrackedSequence.from_tracking(output, stream) for the stream the file
+    was written from.
     """
-    lines = _load_lines(path)
+    lines = _load(path)
     tail = lines[-1][1]
     if not (isinstance(tail, dict) and "track_table" in tail):
         raise StreamFormatError(f"{path}: missing trailing track-table line")
     parsed = _parse_records(path, lines[:-1], "tracks record", _parse_tracked_frame)
-    tracks, config = _parse_records(path, lines[-1:], "track table", _parse_track_table)[0]
     frames = tuple(fa for fa, _ in parsed)
+    for (lineno, _), prev, fa in zip(lines[1:], frames, frames[1:]):
+        if fa.frame_index <= prev.frame_index:
+            raise StreamFormatError(
+                f"{path}:{lineno}: frame_index {fa.frame_index} not strictly increasing "
+                f"(previous {prev.frame_index})"
+            )
+    tracks, config = _parse_records(path, lines[-1:], "track table",
+                                    lambda obj: _parse_track_table(obj, frames))[0]
     output = TrackingOutput(frames=frames, tracks=tracks, config=config)
     sequence = TrackedSequence(
         frame_indices=tuple(fa.frame_index for fa in frames),

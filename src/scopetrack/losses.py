@@ -9,7 +9,7 @@ objects that carry no segmentation annotation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,25 +49,12 @@ class LossWeights:
     match_w_giou: float = 2.0
 
     def __post_init__(self) -> None:
-        for name in ("w_cls", "w_l1", "w_giou", "w_mask", "w_dice",
-                     "match_w_cls", "match_w_l1", "match_w_giou"):
-            if getattr(self, name) < 0:
+        for name, value in self.as_dict().items():
+            if value < 0:
                 raise DimensionError(f"{name} must be non-negative")
 
     def as_dict(self) -> dict:
-        return {
-            "w_cls": self.w_cls, "w_l1": self.w_l1, "w_giou": self.w_giou,
-            "w_mask": self.w_mask, "w_dice": self.w_dice,
-            "match_w_cls": self.match_w_cls, "match_w_l1": self.match_w_l1,
-            "match_w_giou": self.match_w_giou,
-        }
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """Injective map gt index -> query index, K pairs."""
-
-    pairs: tuple[tuple[int, int], ...]
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -80,11 +67,7 @@ class LossBreakdown:
     total: float
 
     def as_dict(self) -> dict:
-        return {
-            "cls": self.cls, "bbox_l1": self.bbox_l1, "bbox_giou": self.bbox_giou,
-            "cond_mask_dice": self.cond_mask_dice, "cond_mask_ce": self.cond_mask_ce,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 def _pred_array(pred_probs: np.ndarray, gt: RleMask) -> tuple[np.ndarray, np.ndarray]:
@@ -167,14 +150,14 @@ def cls_ce_loss(dist: ClassDistribution, gt_label: str | None,
 
 
 def detr_match(frame: FramePrediction, gt: GroundTruthFrame, w: LossWeights,
-               header: StreamHeader) -> MatchResult:
-    """Hungarian match of ground-truth objects onto query slots."""
+               header: StreamHeader) -> assignment.Assignment:
+    """Hungarian match of ground-truth objects onto query slots: (gt, query) pairs."""
     n = len(frame.slots)
     k = len(gt.objects)
     if k > n:
         raise CapacityError(f"{k} ground-truth objects but only {n} query slots")
     if k == 0:
-        return MatchResult(pairs=())
+        return assignment.Assignment(pairs=(), total_cost=0.0)
     rows = []
     for obj in gt.objects:
         row = []
@@ -187,11 +170,11 @@ def detr_match(frame: FramePrediction, gt: GroundTruthFrame, w: LossWeights,
             )
             row.append(cost)
         rows.append(tuple(row))
-    return MatchResult(pairs=assignment.solve(assignment.CostMatrix(tuple(rows))).pairs)
+    return assignment.solve(assignment.CostMatrix(tuple(rows)))
 
 
 def conditional_mask_loss(frame: FramePrediction, gt: GroundTruthFrame,
-                          match: MatchResult, w: LossWeights) -> tuple[float, float]:
+                          match: assignment.Assignment, w: LossWeights) -> tuple[float, float]:
     """Weighted (dice, ce) sums over matched objects that carry a mask."""
     dice_term = 0.0
     ce_term = 0.0

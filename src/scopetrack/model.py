@@ -12,9 +12,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, MaskFormatError
+from .errors import DataError, DimensionError, MaskFormatError
 
 PROB_SLACK = 1e-9
+
+
+def require_int(value, name: str) -> int:
+    """value itself when it is an integer; a bool, float or string raises DataError."""
+    if type(value) is not int:
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ confidence is that average's maximum.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -77,17 +77,7 @@ def render_report(report: ExamReport, format: str = "text") -> bytes:
     if format == "json":
         obj = {
             "video_id": report.video_id,
-            "entries": [
-                {
-                    "polyp_id": e.polyp_id,
-                    "polyp_type": e.polyp_type,
-                    "confidence": e.confidence,
-                    "frame_count": e.frame_count,
-                    "first_frame": e.first_frame,
-                    "last_frame": e.last_frame,
-                }
-                for e in report.entries
-            ],
+            "entries": [asdict(e) for e in report.entries],
             "config": report.config_dict(),
         }
         return (json.dumps(obj) + "\n").encode()

@@ -106,6 +106,8 @@ def _validate(cfg: SynthConfig) -> None:
         raise DataError("object_classes must list one class per object")
     if cfg.embedding_drift < 0:
         raise DataError("embedding_drift must be >= 0")
+    if cfg.seed < 0:
+        raise DataError(f"seed must be >= 0, got {cfg.seed}")
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

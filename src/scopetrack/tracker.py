@@ -11,14 +11,14 @@ them once the fold is done.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import assignment
 from .errors import DataError, FrameAlignmentError
-from .model import FramePrediction, QuerySlot, VideoStream, similarity, validate_stream
+from .model import FramePrediction, QuerySlot, VideoStream, require_int, similarity, validate_stream
 
 _ZERO_NORM = 1e-12
 
@@ -40,9 +40,7 @@ class TrackerConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.empty_threshold < 1.0:
             raise DataError(f"empty_threshold must be in (0,1), got {self.empty_threshold}")
-        if isinstance(self.death_patience, bool) or not isinstance(self.death_patience, int):
-            raise DataError(f"death_patience must be an integer, got {self.death_patience!r}")
-        if self.death_patience < 1:
+        if require_int(self.death_patience, "death_patience") < 1:
             raise DataError(f"death_patience must be >= 1, got {self.death_patience}")
         if not isinstance(self.carry_forward, bool):
             raise DataError(f"carry_forward must be true or false, got {self.carry_forward!r}")
@@ -50,12 +48,7 @@ class TrackerConfig:
             raise DataError(f"similarity_floor must be a number, got {self.similarity_floor!r}")
 
     def as_dict(self) -> dict:
-        return {
-            "empty_threshold": self.empty_threshold,
-            "death_patience": self.death_patience,
-            "carry_forward": self.carry_forward,
-            "similarity_floor": self.similarity_floor,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -214,23 +207,31 @@ def assigned_slots(stream: VideoStream, frames: Sequence[FrameAssignments]
         yield fa, tuple(slots[slot] for slot, _ in fa.assignments)
 
 
+def track_observations(frames: Sequence[FrameAssignments]
+                       ) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Each track's (frame index, slot) observations in frame order, by track id."""
+    observations: dict[int, list[tuple[int, int]]] = {}
+    for fa in frames:
+        for slot, track_id in fa.assignments:
+            observations.setdefault(track_id, []).append((fa.frame_index, slot))
+    return {track_id: tuple(observations[track_id]) for track_id in sorted(observations)}
+
+
 def track_table(stream: VideoStream,
                 frames: Sequence[FrameAssignments]) -> tuple[TrackSummary, ...]:
     """Per-track observations and mean class probabilities, by track id."""
-    observations: dict[int, list[tuple[int, int]]] = {}
     probs: dict[int, list[tuple[float, ...]]] = {}
     for fa, slots in assigned_slots(stream, frames):
-        for (slot, track_id), query in zip(fa.assignments, slots):
-            observations.setdefault(track_id, []).append((fa.frame_index, slot))
+        for (_, track_id), query in zip(fa.assignments, slots):
             probs.setdefault(track_id, []).append(query.classes.probs)
     return tuple(
         TrackSummary(
             track_id=track_id,
-            observations=tuple(observations[track_id]),
+            observations=observations,
             mean_probs=tuple(float(x) for x in np.asarray(
                 probs[track_id], dtype=np.float64).mean(axis=0)),
         )
-        for track_id in sorted(observations)
+        for track_id, observations in track_observations(frames).items()
     )
 
 

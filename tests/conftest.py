@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from scopetrack.model import (
     BBox,
@@ -10,6 +13,10 @@ from scopetrack.model import (
     StreamHeader,
     VideoStream,
 )
+
+# CI sets HYPOTHESIS_PROFILE=ci so that every run draws the same examples.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def unit_vec(i: int, dim: int = 4) -> tuple[float, ...]:

@@ -343,6 +343,55 @@ def _duplicate_gt_id(frame):
     frame["objects"][1]["gt_track_id"] = frame["objects"][0]["gt_track_id"]
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def _deeply_nested(which):
+    """Replace line 2 of one input file with 100,000 nested arrays, then read it."""
+    def case(tmp_path, gt_path, pred_path):
+        tracks = _tracks_for(tmp_path, pred_path)
+        path = {"pred": pred_path, "gt": gt_path, "tracks": tracks}[which]
+        lines = path.read_text().splitlines()
+        lines[1] = _DEEP
+        path.write_text("\n".join(lines) + "\n")
+        if which == "tracks":
+            argv = ["eval-track", "--pred", str(tracks), "--gt", str(gt_path)]
+        else:
+            argv = ["eval-det", "--pred", str(pred_path), "--gt", str(gt_path)]
+        return argv, f"{path}:2: invalid JSON: nested too deeply"
+    return case
+
+
+def _gt_line_edit(edit):
+    """Rewrite the first ground-truth frame, then run `eval-det` against it."""
+    def case(tmp_path, gt_path, pred_path):
+        _rewrite_line(gt_path, 2, edit)
+        return (["eval-det", "--pred", str(pred_path), "--gt", str(gt_path)],
+                f"{gt_path}:2:")
+    return case
+
+
+def _tracks_edit(lineno, edit, command):
+    """Rewrite one line of a tracks file, then run `command` on it."""
+    def case(tmp_path, gt_path, pred_path):
+        tracks = _tracks_for(tmp_path, pred_path)
+        _rewrite_line(tracks, lineno, edit)
+        argv = {
+            "eval-track": ["eval-track", "--pred", str(tracks), "--gt", str(gt_path)],
+            "report": ["report", "--tracks", str(tracks), "--stream", str(pred_path)],
+        }[command]
+        return argv, f"{tracks}:{lineno}:"
+    return case
+
+
+def _first_assignment(key, value):
+    return lambda frame: frame["assignments"][0].__setitem__(key, value)
+
+
+def _repeat_track_id(frame):
+    frame["assignments"][1]["track_id"] = frame["assignments"][0]["track_id"]
+
+
 _BAD_INPUTS = {
     "embedding_not_numbers": _first_slot("embedding", ["x"] * 32),
     "three_element_box": _first_slot("box", [0.0, 0.0, 1.0]),
@@ -365,9 +414,25 @@ _BAD_INPUTS = {
     "config_min_frames_not_integral": _config_file('{"min_frames": 2.9}', "min_frames",
                                                    "report"),
     "config_seed_not_integral": _config_file('{"seed": 2.9}', "seed", "synth"),
+    "config_seed_negative": _config_file('{"seed": -1}', "seed", "synth"),
     "config_min_frames_boolean": _config_file('{"min_frames": true}', "min_frames",
                                               "report"),
     "loss_check_header_mismatch": _loss_check_header_mismatch,
+    "stream_deeply_nested": _deeply_nested("pred"),
+    "gt_deeply_nested": _deeply_nested("gt"),
+    "tracks_deeply_nested": _deeply_nested("tracks"),
+    "config_deeply_nested": _config_file(_DEEP, "nested too deeply"),
+    "weights_deeply_nested": _weights_file(_DEEP),
+    "frame_index_fractional": _stream_edit(2, lambda f: f.__setitem__("frame_index", 0.7)),
+    "n_queries_fractional": _stream_edit(1, lambda h: h.__setitem__("n_queries", 8.9)),
+    "gt_track_id_fractional": _gt_line_edit(lambda frame: frame["objects"][0].__setitem__(
+        "gt_track_id", 0.5)),
+    "tracks_slot_boolean": _tracks_edit(1, _first_assignment("slot", True), "report"),
+    "tracks_track_id_float": _tracks_edit(1, _first_assignment("track_id", 1e300),
+                                          "eval-track"),
+    "tracks_frame_index_string": _tracks_edit(1, lambda f: f.__setitem__("frame_index", "0"),
+                                              "eval-track"),
+    "tracks_repeated_track_id": _tracks_edit(1, _repeat_track_id, "eval-track"),
 }
 
 

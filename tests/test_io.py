@@ -111,6 +111,28 @@ class TestMalformedFiles:
         with pytest.raises(StreamFormatError):
             io.read_tracking(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[0]["assignments"][1].__setitem__(
+            "track_id", lines[0]["assignments"][0]["track_id"]), "repeats a track_id"),
+        (lambda lines: lines[0]["assignments"][1].__setitem__(
+            "slot", lines[0]["assignments"][0]["slot"]), "repeats a slot"),
+        (lambda lines: lines.insert(0, lines.pop(1)), "not strictly increasing"),
+        (lambda lines: lines[-1].__setitem__("track_table", [
+            dict(lines[-1]["track_table"][0], frame_count=999)]), "track table disagrees"),
+        (lambda lines: lines[-1]["track_table"][0].__setitem__("last_frame", 0),
+         "track table disagrees"),
+    ], ids=["repeated_track_id", "repeated_slot", "frames_out_of_order", "table_cut",
+            "table_row_wrong"])
+    def test_tracks_checked_on_read(self, tmp_path, bundle, edit, message):
+        _, pred = bundle
+        path = tmp_path / "tracks.jsonl"
+        io.write_tracking(track_video(pred), pred, path)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        edit(lines)
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(StreamFormatError, match=message):
+            io.read_tracking(path)
+
     def test_stream_invariants_checked_on_read(self, tmp_path, bundle):
         _, pred = bundle
         path = tmp_path / "pred.jsonl"
