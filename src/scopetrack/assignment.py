@@ -2,10 +2,10 @@
 
 solve() is a Hungarian solver in the potentials / shortest-augmenting-path
 formulation, handling rectangular matrices natively. Among cost-tied optima
-it returns the row-major lexicographically smallest pair set; ties are
-resolved exactly for integer-valued inputs of any magnitude.
-brute_force_solve() is the independent enumeration oracle with the same
-contract.
+it returns the row-major lexicographically smallest pair set. It is exact
+for every finite input, int or float of any magnitude: it compares exact
+integer sums, never rounded ones. brute_force_solve() is the independent
+enumeration oracle with the same contract.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ import numpy as np
 from .errors import DataError, InstanceTooLargeError
 
 _INF = float("inf")
-# Relative band for treating a float reduced cost as zero. Integer-valued
-# inputs use none: their reduced costs are exact integers.
+# Relative band within which the oracle keeps float totals as candidates for
+# its exact comparison.
 _RC_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Dense rows x cols matrix of finite costs."""
+    """Dense rows x cols matrix of finite costs, each an int or a float."""
 
     values: tuple[tuple[float, ...], ...]
 
@@ -72,147 +72,78 @@ def _exact_cost(values: Sequence[Sequence[float]], pairs: Sequence[tuple[int, in
     return sum(Fraction(values[r][c]) for r, c in pairs)
 
 
-def _hungarian(a: Sequence[Sequence[float]], n_rows: int, n_cols: int):
-    """Classic potentials formulation; requires n_rows <= n_cols.
+def _hungarian(a: Sequence[Sequence[int]], n_rows: int, n_cols: int) -> list[int]:
+    """Shortest augmenting paths with potentials (Crouse, IEEE TAES 2016).
 
-    Returns (u, v, col_to_row) with 1-indexed potentials. Integer inputs stay
-    integral throughout, so reduced costs are exact for them.
+    Requires n_rows <= n_cols. Each row in turn is joined to the matching
+    by a shortest alternating path in reduced costs; the potentials are
+    updated once per path. Returns the row matched to each column, -1 for
+    a free column.
     """
-    u = [0] * (n_rows + 1)
-    v = [0] * (n_cols + 1)
-    p = [0] * (n_cols + 1)  # p[j] = row matched to column j, 0 = free
-    way = [0] * (n_cols + 1)
-    for i in range(1, n_rows + 1):
-        p[0] = i
-        j0 = 0
-        minv = [_INF] * (n_cols + 1)
-        used = [False] * (n_cols + 1)
+    u = [0] * n_rows
+    v = [0] * n_cols
+    row4col = [-1] * n_cols
+    col4row = [-1] * n_rows
+    path = [-1] * n_cols
+    for start in range(n_rows):
+        shortest = [_INF] * n_cols
+        remaining = list(range(n_cols))
+        visited = []
+        i = start
+        min_val = 0
+        while i >= 0:
+            row = a[i]
+            offset = min_val - u[i]
+            lowest = _INF
+            for j in remaining:
+                reduced = offset + row[j] - v[j]
+                if reduced < shortest[j]:
+                    path[j] = i
+                    shortest[j] = reduced
+                if shortest[j] < lowest:
+                    lowest = shortest[j]
+                    sink = j
+            min_val = lowest
+            remaining.remove(sink)
+            visited.append(sink)
+            i = row4col[sink]
+        u[start] += min_val
+        for j in visited:
+            if row4col[j] >= 0:
+                u[row4col[j]] += min_val - shortest[j]
+            v[j] -= min_val - shortest[j]
+        j = sink
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = _INF
-            j1 = 0
-            row = a[i0 - 1]
-            ui0 = u[i0]
-            for j in range(1, n_cols + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - ui0 - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n_cols + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
                 break
-        while True:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-            if j0 == 0:
-                break
-    return u, v, p
+    return row4col
 
 
-def _saturates(adj: list[list[int]], targets: list[int]) -> bool:
-    """True when some matching covers every left vertex in `targets`."""
-    match_right: dict[int, int] = {}
+def _tie_broken_costs(values: Sequence[Sequence[float]], n_rows: int, n_cols: int
+                      ) -> list[list[int]]:
+    """The costs on one exact integer grid, made unique by the tie-break.
 
-    def try_augment(left: int, seen: set[int]) -> bool:
-        for right in adj[left]:
-            if right in seen:
-                continue
-            seen.add(right)
-            if right not in match_right or try_augment(match_right[right], seen):
-                match_right[right] = left
-                return True
-        return False
-
-    for left in targets:
-        if not try_augment(left, set()):
-            return False
-    return True
-
-
-class _LexRefiner:
-    """Picks the lexicographically smallest optimal pair set.
-
-    Works on the admissible graph (zero reduced-cost edges) of an optimal
-    dual solution. A matching of size min(R, C) is optimal exactly when it
-    uses admissible edges only and saturates every "must" vertex: every
-    vertex of the short side (rows when R <= C, else columns) and every
-    vertex of the long side whose potential is strictly negative.
+    Every finite entry is n/d with d a power of two, so with D the largest d
+    each n·(D/d) is an exact integer. Scaled by S = B**rows, B = cols + 1,
+    entry (i, j) gains (j - cols)·B**(rows-1-i). A matching's gains sum to
+    N - (S - 1), where N reads one base-B digit per row: the row's column,
+    or cols when the row is unmatched. That sum lies in (-S, 0], so it never
+    outweighs one grid unit of cost, and N orders cost-tied matchings
+    row-major lexicographically: the optimum of these costs is unique and
+    is the tie-broken optimum.
     """
-
-    def __init__(self, values, n_rows, n_cols, row_pot, col_pot, atol):
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self.adj = [
-            [
-                j
-                for j in range(n_cols)
-                if abs(values[i][j] - row_pot[i] - col_pot[j]) <= atol
-            ]
-            for i in range(n_rows)
-        ]
-        self.must_rows = {
-            i for i in range(n_rows) if n_rows <= n_cols or row_pot[i] < -atol
-        }
-        self.must_cols = {
-            j for j in range(n_cols) if n_rows > n_cols or col_pot[j] < -atol
-        }
-
-    def _completable(self, next_row: int, used_cols: set[int]) -> bool:
-        """Can rows >= next_row and the unused columns saturate every must vertex?
-
-        Each side is tested on its own: by the Mendelsohn-Dulmage theorem a
-        set of rows and a set of columns that can each be saturated can be
-        saturated by one matching.
-        """
-        adj = [[c for c in self.adj[r] if c not in used_cols]
-               for r in range(next_row, self.n_rows)]
-        radj: list[list[int]] = [[] for _ in range(self.n_cols)]
-        for r_local, cols in enumerate(adj):
-            for c in cols:
-                radj[c].append(r_local)
-        want_rows = [r - next_row for r in self.must_rows if r >= next_row]
-        want_cols = [c for c in self.must_cols if c not in used_cols]
-        return _saturates(adj, want_rows) and _saturates(radj, want_cols)
-
-    def _place(self, r: int, used_cols: set[int]) -> tuple[int, int]:
-        """The smallest (row, col) from row r on that keeps a completion.
-
-        Rows may be skipped, but never past a must-row. The column is added
-        to used_cols.
-        """
-        for rr in range(r, self.n_rows):
-            for c in self.adj[rr]:
-                if c in used_cols:
-                    continue
-                used_cols.add(c)
-                if self._completable(rr + 1, used_cols):
-                    return rr, c
-                used_cols.discard(c)
-            if rr in self.must_rows:
-                break
-        raise AssertionError("lexicographic refinement lost feasibility")
-
-    def run(self) -> tuple[tuple[int, int], ...]:
-        used_cols: set[int] = set()
-        pairs: list[tuple[int, int]] = []
-        r = 0
-        while len(pairs) < min(self.n_rows, self.n_cols):
-            pairs.append(self._place(r, used_cols))
-            r = pairs[-1][0] + 1
-        return tuple(pairs)
+    ratios = [[x.as_integer_ratio() for x in row] for row in values]
+    top_bits = max(d for row in ratios for _, d in row).bit_length()
+    base = n_cols + 1
+    tie_scale = base ** n_rows
+    return [
+        [(n << (top_bits - d.bit_length())) * tie_scale + tie
+         for (n, d), tie in zip(row, range(-n_cols * weight, 0, weight))]
+        for row, weight in zip(ratios, (base ** k for k in range(n_rows - 1, -1, -1)))
+    ]
 
 
 def solve(m: CostMatrix) -> Assignment:
@@ -220,24 +151,13 @@ def solve(m: CostMatrix) -> Assignment:
     n_rows, n_cols = m.rows, m.cols
     if min(n_rows, n_cols) == 0:
         return Assignment(pairs=(), total_cost=0.0)
-    values = m.values
-    if all(float(x).is_integer() for row in values for x in row):
-        values = tuple(tuple(int(x) for x in row) for row in values)
-        atol = 0
-    else:
-        atol = _RC_ATOL * max(1.0, max(abs(x) for row in values for x in row))
+    a = _tie_broken_costs(m.values, n_rows, n_cols)
     if n_rows <= n_cols:
-        u, v, _ = _hungarian(values, n_rows, n_cols)
-        row_pot = [u[i + 1] for i in range(n_rows)]
-        col_pot = [v[j + 1] for j in range(n_cols)]
+        col_to_row = _hungarian(a, n_rows, n_cols)
+        pairs = tuple(sorted((r, c) for c, r in enumerate(col_to_row) if r >= 0))
     else:
-        transposed = tuple(
-            tuple(values[i][j] for i in range(n_rows)) for j in range(n_cols)
-        )
-        u, v, _ = _hungarian(transposed, n_cols, n_rows)
-        col_pot = [u[j + 1] for j in range(n_cols)]
-        row_pot = [v[i + 1] for i in range(n_rows)]
-    pairs = _LexRefiner(values, n_rows, n_cols, row_pot, col_pot, atol).run()
+        row_to_col = _hungarian(list(zip(*a)), n_cols, n_rows)
+        pairs = tuple((r, c) for r, c in enumerate(row_to_col) if c >= 0)
     return Assignment(pairs=pairs, total_cost=_pair_cost(m.values, pairs))
 
 

@@ -10,16 +10,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from functools import partial
 
 from . import io, losses, metrics, report as report_mod, synth, tracker
 from .errors import DataError
-from .model import require_int
+from .model import require_int, require_range
 from .selfcheck import run_selfcheck
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+
+# The ranges of the threshold keys, as checkers for _pick.
+_TAU = partial(require_range, low=0.0, high=1.0, open_low=True, open_high=True)
+_ALPHA = partial(require_range, low=0.0, high=1.0, open_low=True)
+_IOU_FLOOR = partial(require_range, low=0.0, high=1.0)
 
 
 class _UsageError(Exception):
@@ -79,22 +86,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _pick(flag, file_cfg: dict, key: str, default, kind=None):
-    """flag > config file > default; kind converts the picked value, int only checks it."""
+def _pick(flag, file_cfg: dict, key: str, default, check=None):
+    """flag > config file > default; check(value, key) vets the picked value."""
     value = flag if flag is not None else file_cfg.get(key, default)
-    if kind is int:
-        return require_int(value, key)
-    if kind is None:
-        return value
-    try:
-        return kind(value)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise DataError(f"{key} must be {kind.__name__}, got {value!r}") from exc
+    return value if check is None else check(value, key)
 
 
 def _tracker_config(args, file_cfg: dict) -> tracker.TrackerConfig:
     return tracker.TrackerConfig(
-        empty_threshold=_pick(args.tau, file_cfg, "tau", 0.5, float),
+        empty_threshold=_pick(args.tau, file_cfg, "tau", 0.5, _TAU),
         death_patience=_pick(args.patience, file_cfg, "patience", 5),
         carry_forward=_pick(False if args.no_carry_forward else None, file_cfg,
                             "carry_forward", True),
@@ -109,9 +109,8 @@ def _weights(path: str | None, file_cfg: dict) -> losses.LossWeights:
         obj = file_cfg.get("weights", {})
     if not isinstance(obj, dict):
         raise DataError("weights must be a JSON object")
-    not_numbers = sorted(k for k, v in obj.items() if not isinstance(v, (int, float)))
-    if not_numbers:
-        raise DataError(f"weights must be numbers: {not_numbers}")
+    for key, value in obj.items():
+        require_range(value, key, 0.0, math.inf, open_high=True)
     known = losses.LossWeights().as_dict()
     unknown = set(obj) - set(known)
     if unknown:
@@ -129,7 +128,7 @@ def _cmd_track(args, file_cfg: dict) -> int:
     cfg = _tracker_config(args, file_cfg)
     stream = io.read_stream(args.stream)
     if args.baseline_iou:
-        floor = _pick(args.iou_floor, file_cfg, "iou_floor", 0.1, float)
+        floor = _pick(args.iou_floor, file_cfg, "iou_floor", 0.1, _IOU_FLOOR)
         output = tracker.iou_baseline_track(stream, iou_floor=floor, cfg=cfg)
     else:
         output = tracker.track_video(stream, cfg)
@@ -144,7 +143,7 @@ def _cmd_track(args, file_cfg: dict) -> int:
 
 
 def _cmd_eval_det(args, file_cfg: dict) -> int:
-    tau = _pick(args.tau, file_cfg, "tau", 0.5, float)
+    tau = _pick(args.tau, file_cfg, "tau", 0.5, _TAU)
     preds = io.read_stream(args.pred)
     gts = io.read_ground_truth(args.gt)
     det = metrics.eval_segmentation(preds, gts, tau=tau)
@@ -162,7 +161,7 @@ def _cmd_eval_det(args, file_cfg: dict) -> int:
 
 
 def _cmd_eval_track(args, file_cfg: dict) -> int:
-    alpha = _pick(args.alpha, file_cfg, "alpha", 0.5, float)
+    alpha = _pick(args.alpha, file_cfg, "alpha", 0.5, _ALPHA)
     tracking, pred_seq = io.read_tracking(args.pred)
     gts = io.read_ground_truth(args.gt)
     gt_seq = metrics.TrackedSequence.from_ground_truth(gts)
@@ -180,7 +179,7 @@ def _cmd_eval_track(args, file_cfg: dict) -> int:
 
 def _cmd_report(args, file_cfg: dict) -> int:
     fmt = _pick(args.format, file_cfg, "format", "text")
-    min_frames = _pick(args.min_frames, file_cfg, "min_frames", 1, int)
+    min_frames = _pick(args.min_frames, file_cfg, "min_frames", 1, require_int)
     tracking, _ = io.read_tracking(args.tracks)
     stream = io.read_stream(args.stream)
     exam = report_mod.generate_report(tracking, stream, min_frames=min_frames)
@@ -190,7 +189,7 @@ def _cmd_report(args, file_cfg: dict) -> int:
 
 
 def _cmd_synth(args, file_cfg: dict) -> int:
-    seed = _pick(args.seed, file_cfg, "seed", 0, int)
+    seed = _pick(args.seed, file_cfg, "seed", 0, require_int)
     cfg = synth.scenario_config(args.scenario, seed)
     gt, pred = synth.generate(cfg)
     io.write_ground_truth(gt, args.out_gt)

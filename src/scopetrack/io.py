@@ -2,10 +2,11 @@
 
 Line 1 of every stream file is the header object; every later line is one
 frame. Floats go through json's repr serialization, which round-trips
-exactly; integer fields must be JSON integers. The stream and ground-truth
-readers also check the model's invariants (validate_stream,
-validate_ground_truth); a file that breaks them raises StreamFormatError
-naming the path and the first three violations.
+exactly; integer fields must be JSON integers, and number fields JSON
+numbers, not booleans or strings. The stream and ground-truth readers also
+check the model's invariants (validate_stream, validate_ground_truth); a
+file that breaks them raises StreamFormatError naming the path and the
+first three violations.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .model import (
     StreamHeader,
     VideoStream,
     require_int,
+    require_numbers,
     validate_ground_truth,
     validate_stream,
 )
@@ -156,16 +158,16 @@ def _mask_obj(mask: RleMask | None) -> dict | None:
 
 
 def _parse_box(obj: Any) -> BBox:
-    x1, y1, x2, y2 = (float(v) for v in obj)
+    x1, y1, x2, y2 = (float(v) for v in require_numbers(obj, "box"))
     return BBox(x1, y1, x2, y2)
 
 
 def _parse_frame(obj: Any) -> FramePrediction:
     slots = tuple(
         QuerySlot(
-            embedding=s["embedding"],
+            embedding=require_numbers(s["embedding"], "embedding"),
             box=_parse_box(s["box"]),
-            classes=ClassDistribution(s["probs"]),
+            classes=ClassDistribution(require_numbers(s["probs"], "probs")),
             mask=_parse_mask(s.get("mask")),
         )
         for s in obj["slots"]
@@ -289,7 +291,8 @@ def _parse_track_table(tail: Any, frames: tuple[FrameAssignments, ...]
             require_int(value, "observations")
     observed = track_observations(frames)
     tracks = tuple(
-        TrackSummary(track_id, observations, tuple(float(p) for p in row["mean_probs"]))
+        TrackSummary(track_id, observations,
+                     tuple(float(p) for p in require_numbers(row["mean_probs"], "mean_probs")))
         for (track_id, observations), row in zip(observed.items(), rows)
     )
     if len(rows) != len(observed) or [_track_row(t) for t in tracks] != rows:

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DataError, DimensionError, MaskFormatError
 
 PROB_SLACK = 1e-9
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def require_int(value, name: str) -> int:
@@ -22,6 +23,39 @@ def require_int(value, name: str) -> int:
     if type(value) is not int:
         raise DataError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def require_number(value, name: str) -> float:
+    """value itself when it is an int or a float; a bool or string raises DataError."""
+    if type(value) not in _NUMBER_TYPES:
+        raise DataError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def require_numbers(values, name: str):
+    """values itself when every element passes require_number.
+
+    The types are tested in one C-level pass, as embeddings are wide.
+    """
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        for value in values:
+            require_number(value, name)
+    return values
+
+
+def require_range(value, name: str, low: float, high: float,
+                  open_low: bool = False, open_high: bool = False) -> float:
+    """value as a float when it is a number in the interval from low to high.
+
+    Each end is included unless marked open. NaN is in no interval.
+    """
+    require_number(value, name)
+    above = low < value if open_low else low <= value
+    below = value < high if open_high else value <= high
+    if not (above and below):
+        interval = f"{'(' if open_low else '['}{low:g}, {high:g}{')' if open_high else ']'}"
+        raise DataError(f"{name} must be in {interval}, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -146,8 +180,8 @@ class QuerySlot:
 
     def __post_init__(self) -> None:
         # from a list, tuple() allocates once at the final size; from a
-        # generator it grows and shrinks, fragmenting the heap on wide embeddings
-        object.__setattr__(self, "embedding", tuple([float(v) for v in self.embedding]))
+        # bare iterator it grows and shrinks, fragmenting the heap on wide embeddings
+        object.__setattr__(self, "embedding", tuple(list(map(float, self.embedding))))
         if any(not math.isfinite(v) for v in self.embedding):
             raise DimensionError("slot embedding has non-finite values")
 

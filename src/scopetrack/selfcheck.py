@@ -2,8 +2,8 @@
 
 Each suite cross-checks a fast implementation against an independent
 reference: the assignment solver against exhaustive enumeration on small
-and on large integers, the mask codec against a round trip, and HOTA
-against closed-form tiny instances.
+integers, on large integers and on floats, the mask codec against a round
+trip, and HOTA against closed-form tiny instances.
 """
 
 from __future__ import annotations
@@ -17,16 +17,34 @@ from .metrics import TrackedDet, TrackedSequence, eval_hota
 from .model import BBox, rle_decode, rle_encode
 
 
-def _check_assignment(n_instances: int = 300, large: bool = False) -> tuple[bool, str]:
-    """Random integer matrices; large ones are tie-heavy and offset by 1e9 to 1e15."""
-    rng = np.random.Generator(np.random.Philox(20240503 if large else 20240501))
-    spread = 5 if large else 100
-    for _ in range(n_instances):
-        rows = int(rng.integers(1, 7))
-        cols = int(rng.integers(1, 7))
-        offset = 10 ** int(rng.integers(9, 16)) if large else 0
-        values = rng.integers(-spread, spread + 1, size=(rows, cols))
-        m = assignment.CostMatrix(tuple(tuple(offset + int(v) for v in row) for row in values))
+# Entries whose exact sums float arithmetic rounds: signed zeros, subnormals,
+# magnitudes 600 orders apart, 0.1 + 0.2 != 0.3, and 2**53 + 1, which no
+# float holds.
+_MIXED_MAGNITUDES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300,
+                     0.1, 0.2, 0.30000000000000004, 2**53, 2**53 + 1)
+
+
+def _random_costs(rng: np.random.Generator, kind: str, i: int) -> assignment.CostMatrix:
+    rows = int(rng.integers(1, 7))
+    cols = int(rng.integers(1, 7))
+    if kind == "integers":
+        values = rng.integers(-100, 101, size=(rows, cols)).tolist()
+    elif kind == "large-integers":  # tie-heavy, offset by 1e9 to 1e15
+        offset = 10 ** int(rng.integers(9, 16))
+        values = (offset + rng.integers(-5, 6, size=(rows, cols))).tolist()
+    elif i % 2:  # floats: one-decimal, or picks from the mixed-magnitude pool
+        values = (rng.integers(-20, 21, size=(rows, cols)) / 10).tolist()
+    else:
+        pool = rng.integers(0, len(_MIXED_MAGNITUDES), size=(rows, cols))
+        values = [[_MIXED_MAGNITUDES[k] for k in row] for row in pool.tolist()]
+    return assignment.CostMatrix(values)
+
+
+def _check_assignment(kind: str, seed: int, n_instances: int = 300) -> tuple[bool, str]:
+    """solve against brute force on random matrices of one value kind."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    for i in range(n_instances):
+        m = _random_costs(rng, kind, i)
         got = assignment.solve(m)
         want = assignment.brute_force_solve(m)
         if got.total_cost != want.total_cost or got.pairs != want.pairs:
@@ -72,8 +90,9 @@ def _check_hota() -> tuple[bool, str]:
 
 def run_selfcheck() -> list[tuple[str, bool, str]]:
     return [
-        ("assignment-oracle", *_check_assignment()),
-        ("assignment-large-integers", *_check_assignment(large=True)),
+        ("assignment-oracle", *_check_assignment("integers", 20240501)),
+        ("assignment-large-integers", *_check_assignment("large-integers", 20240503)),
+        ("assignment-floats", *_check_assignment("floats", 20240504)),
         ("rle-round-trip", *_check_rle()),
         ("hota-tiny-oracle", *_check_hota()),
     ]

@@ -11,6 +11,7 @@ them once the fold is done.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -18,7 +19,8 @@ import numpy as np
 
 from . import assignment
 from .errors import DataError, FrameAlignmentError
-from .model import FramePrediction, QuerySlot, VideoStream, require_int, similarity, validate_stream
+from .model import (FramePrediction, QuerySlot, VideoStream, require_int, require_range,
+                    similarity, validate_stream)
 
 _ZERO_NORM = 1e-12
 
@@ -38,14 +40,14 @@ class TrackerConfig:
     similarity_floor: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.empty_threshold < 1.0:
-            raise DataError(f"empty_threshold must be in (0,1), got {self.empty_threshold}")
+        require_range(self.empty_threshold, "empty_threshold", 0.0, 1.0,
+                      open_low=True, open_high=True)
         if require_int(self.death_patience, "death_patience") < 1:
             raise DataError(f"death_patience must be >= 1, got {self.death_patience}")
         if not isinstance(self.carry_forward, bool):
             raise DataError(f"carry_forward must be true or false, got {self.carry_forward!r}")
-        if not isinstance(self.similarity_floor, (int, float, type(None))):
-            raise DataError(f"similarity_floor must be a number, got {self.similarity_floor!r}")
+        if self.similarity_floor is not None:
+            require_range(self.similarity_floor, "similarity_floor", -math.inf, math.inf)
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -19,6 +19,25 @@ def random_matrix(rng, max_dim=7, integral=True, span=100):
     return CostMatrix(tuple(tuple(float(v) for v in row) for row in vals))
 
 
+# Entries whose exact sums float arithmetic rounds: signed zeros, subnormals,
+# magnitudes 600 orders apart, 0.1 + 0.2 != 0.3, and 2**53 + 1, which no
+# float holds.
+MIXED_MAGNITUDES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300,
+                    0.1, 0.2, 0.30000000000000004, 2**53, 2**53 + 1)
+
+
+def exact_float_matrix(rng, kind, max_dim=6):
+    """A one-decimal normal matrix, or one drawn from MIXED_MAGNITUDES."""
+    rows = int(rng.integers(1, max_dim + 1))
+    cols = int(rng.integers(1, max_dim + 1))
+    if kind == "one_decimal":
+        vals = np.round(rng.normal(size=(rows, cols)), 1).tolist()
+    else:
+        picks = rng.integers(0, len(MIXED_MAGNITUDES), size=(rows, cols)).tolist()
+        vals = [[MIXED_MAGNITUDES[k] for k in row] for row in picks]
+    return CostMatrix(tuple(tuple(row) for row in vals))
+
+
 class TestExamples:
     def test_zero_diagonal(self):
         m = CostMatrix(((0, 9, 9), (9, 0, 9), (9, 9, 0)))
@@ -46,6 +65,16 @@ class TestExamples:
         got = solve(m)
         assert got.pairs == ((0, 1), (1, 0))
         assert got.total_cost == 2_000_000_002
+        assert brute_force_solve(m) == got
+
+    def test_one_decimal_tie_exact(self):
+        # ((0, 1), (2, 2), (3, 0)) and the optimum both have float total
+        # -0.9000000000000001, but the optimum's exact total is 5.6e-17
+        # lower: a tolerance that calls them tied takes the other one
+        m = CostMatrix(((1.1, 0.6, -0.8), (0.7, 0.8, -0.1), (-0.3, -0.2, -1.7),
+                        (0.2, 0.2, -0.9)))
+        got = solve(m)
+        assert got.pairs == ((0, 2), (2, 0), (3, 1))
         assert brute_force_solve(m) == got
 
     def test_brute_force_single(self):
@@ -99,6 +128,17 @@ class TestOracleEquivalence:
             step = 2**18 if offset == 2.0**70 else 1
             m = CostMatrix(tuple(tuple(offset + step * v for v in row)
                                  for row in small.values))
+            got, want = solve(m), brute_force_solve(m)
+            assert got.pairs == want.pairs, m.values
+            assert got.total_cost == want.total_cost, m.values
+
+    @pytest.mark.parametrize("kind, count", [("one_decimal", 3000), ("mixed_magnitudes", 1000)])
+    def test_exact_float_matrices(self, kind, count):
+        # exact cost ties that float sums split, and float sums that round
+        # distinct exact costs together
+        rng = np.random.Generator(np.random.Philox(105))
+        for _ in range(count):
+            m = exact_float_matrix(rng, kind)
             got, want = solve(m), brute_force_solve(m)
             assert got.pairs == want.pairs, m.values
             assert got.total_cost == want.total_cost, m.values

@@ -184,7 +184,8 @@ class TestGlobalFlags:
     def test_selfcheck_passes(self, capsys):
         assert run(["selfcheck"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 5
+        assert "PASS assignment-floats" in out
         assert "PASS assignment-large-integers" in out
 
 
@@ -291,19 +292,33 @@ def _tracks_for(tmp_path, pred_path):
     return tracks
 
 
+def _argv(command, tmp_path, gt_path, pred_path):
+    """A run of `command` on the clean inputs."""
+    if command == "track":
+        return ["track", "--in", str(pred_path), "--out", "t.jsonl"]
+    if command == "report":
+        return ["report", "--tracks", str(_tracks_for(tmp_path, pred_path)),
+                "--stream", str(pred_path)]
+    if command == "eval-det":
+        return ["eval-det", "--pred", str(pred_path), "--gt", str(gt_path)]
+    if command == "eval-track":
+        return ["eval-track", "--pred", str(_tracks_for(tmp_path, pred_path)),
+                "--gt", str(gt_path)]
+    return ["synth", "--scenario", "static", "--out-gt", "g.jsonl", "--out-pred", "p.jsonl"]
+
+
 def _config_file(text, key=None, command="track"):
     """Run `command` with a --config file holding `text`."""
     def case(tmp_path, gt_path, pred_path):
         (tmp_path / "cfg.json").write_text(text)
-        if command == "track":
-            argv = ["track", "--in", str(pred_path), "--out", "t.jsonl"]
-        elif command == "report":
-            argv = ["report", "--tracks", str(_tracks_for(tmp_path, pred_path)),
-                    "--stream", str(pred_path)]
-        else:
-            argv = ["synth", "--scenario", "static", "--out-gt", "g.jsonl",
-                    "--out-pred", "p.jsonl"]
-        return ["--config", "cfg.json"] + argv, key
+        return ["--config", "cfg.json"] + _argv(command, tmp_path, gt_path, pred_path), key
+    return case
+
+
+def _flags(command, key, *flags):
+    """Run `command` on the clean inputs with extra flags; the error names `key`."""
+    def case(tmp_path, gt_path, pred_path):
+        return _argv(command, tmp_path, gt_path, pred_path) + list(flags), key
     return case
 
 
@@ -433,6 +448,20 @@ _BAD_INPUTS = {
     "tracks_frame_index_string": _tracks_edit(1, lambda f: f.__setitem__("frame_index", "0"),
                                               "eval-track"),
     "tracks_repeated_track_id": _tracks_edit(1, _repeat_track_id, "eval-track"),
+    "eval_track_alpha_above_one": _flags("eval-track", "alpha", "--alpha", "1.5"),
+    "eval_track_alpha_nan": _flags("eval-track", "alpha", "--alpha", "nan"),
+    "eval_det_tau_above_one": _flags("eval-det", "tau", "--tau", "1.5"),
+    "eval_det_tau_zero": _flags("eval-det", "tau", "--tau", "0"),
+    "eval_det_tau_nan": _flags("eval-det", "tau", "--tau", "nan"),
+    "iou_floor_nan": _flags("track", "iou_floor", "--baseline-iou", "--iou-floor", "nan"),
+    "similarity_floor_nan": _flags("track", "similarity_floor", "--similarity-floor", "nan"),
+    "box_strings": _first_slot("box", ["0", "0", "10", "10"]),
+    "prob_string": _first_slot("probs", ["0.9", 0.0]),
+    "embedding_boolean": _first_slot("embedding", [True] + [0.0] * 31),
+    "config_tau_string": _config_file('{"tau": "0.3"}', "tau"),
+    "config_alpha_boolean": _config_file('{"alpha": true}', "alpha", "eval-track"),
+    "weight_boolean": _weights_file('{"w_cls": true}'),
+    "weight_nan": _weights_file('{"w_cls": NaN}'),
 }
 
 
