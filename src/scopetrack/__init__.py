@@ -32,8 +32,8 @@ from .model import (
     validate_ground_truth,
     validate_stream,
 )
-from .report import ExamReport, PolypReportEntry, generate_report, parse_report, render_report
-from .synth import ScenarioBundle, SynthConfig, SynthScenario, generate, scenario_suite
+from .report import ExamReport, PolypReportEntry, generate_report, render_report
+from .synth import ScenarioBundle, SynthConfig, generate, scenario_suite
 from .tracker import (
     TrackerConfig,
     TrackingOutput,

@@ -59,9 +59,6 @@ class Assignment:
     pairs: tuple[tuple[int, int], ...]
     total_cost: float
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
 
 def _pair_cost(values: Sequence[Sequence[float]], pairs: Sequence[tuple[int, int]]):
     # Fixed summation order (row-major) so solver and oracle agree bitwise.

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from functools import partial
 
 from . import io, losses, metrics, report as report_mod, synth, tracker
@@ -92,10 +93,16 @@ def _pick(flag, file_cfg: dict, key: str, default, check=None):
     return value if check is None else check(value, key)
 
 
+def _patience(value, key: str) -> int:
+    if require_int(value, key) < 1:
+        raise DataError(f"{key} must be >= 1, got {value}")
+    return value
+
+
 def _tracker_config(args, file_cfg: dict) -> tracker.TrackerConfig:
     return tracker.TrackerConfig(
         empty_threshold=_pick(args.tau, file_cfg, "tau", 0.5, _TAU),
-        death_patience=_pick(args.patience, file_cfg, "patience", 5),
+        death_patience=_pick(args.patience, file_cfg, "patience", 5, _patience),
         carry_forward=_pick(False if args.no_carry_forward else None, file_cfg,
                             "carry_forward", True),
         similarity_floor=_pick(args.similarity_floor, file_cfg, "similarity_floor", None),
@@ -111,7 +118,7 @@ def _weights(path: str | None, file_cfg: dict) -> losses.LossWeights:
         raise DataError("weights must be a JSON object")
     for key, value in obj.items():
         require_range(value, key, 0.0, math.inf, open_high=True)
-    known = losses.LossWeights().as_dict()
+    known = asdict(losses.LossWeights())
     unknown = set(obj) - set(known)
     if unknown:
         raise DataError(f"unknown weight keys: {sorted(unknown)}")
@@ -137,7 +144,7 @@ def _cmd_track(args, file_cfg: dict) -> int:
         "written": str(args.out),
         "frames": len(output.frames),
         "tracks": len(output.tracks),
-        "config": output.config_dict(),
+        "config": output.config,
     }))
     return EXIT_OK
 
@@ -172,7 +179,7 @@ def _cmd_eval_track(args, file_cfg: dict) -> int:
             "HOTA": _pct(result.hota), "MOTA": _pct(result.mota),
             "IDF1": _pct(result.idf1),
         },
-        "config": {"alpha": alpha, "tracker": tracking.config_dict()},
+        "config": {"alpha": alpha, "tracker": tracking.config},
     }))
     return EXIT_OK
 
@@ -208,12 +215,10 @@ def _cmd_loss_check(args, file_cfg: dict) -> int:
     preds = io.read_stream(args.pred)
     gts = io.read_ground_truth(args.gt)
     metrics.check_streams_aligned(preds, gts)
-    print(json.dumps({"config": {"weights": weights.as_dict()}}))
+    print(json.dumps({"config": {"weights": asdict(weights)}}))
     for frame, gt_frame in zip(preds.frames, gts.frames):
         breakdown = losses.total_loss(frame, gt_frame, weights, preds.header)
-        line = {"frame_index": frame.frame_index}
-        line.update(breakdown.as_dict())
-        print(json.dumps(line))
+        print(json.dumps({"frame_index": frame.frame_index, **asdict(breakdown)}))
     return EXIT_OK
 
 
@@ -250,6 +255,10 @@ def run(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args, file_cfg)
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # an input too large to hold, such as a huge mask
+        detail = str(exc)
+        print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
         return EXIT_DATA
 
 

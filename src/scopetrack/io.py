@@ -31,6 +31,7 @@ from .model import (
     VideoStream,
     require_int,
     require_numbers,
+    require_str,
     validate_ground_truth,
     validate_stream,
 )
@@ -102,6 +103,9 @@ def _int(obj: Any, key: str) -> int:
 def _header_from(obj: Any) -> StreamHeader:
     if not isinstance(obj, dict) or any(k not in obj for k in _HEADER_KEYS):
         raise StreamFormatError("first line is not a stream header")
+    classes = obj["classes"]
+    if type(classes) is not list or not all(type(c) is str for c in classes):
+        raise DataError(f"classes must be an array of strings, got {classes!r}")
     extra = {k: v for k, v in obj.items()
              if k not in _HEADER_KEYS and k not in ("version", "video_id")}
     return StreamHeader(
@@ -109,9 +113,9 @@ def _header_from(obj: Any) -> StreamHeader:
         embed_dim=_int(obj, "embed_dim"),
         frame_height=_int(obj, "frame_height"),
         frame_width=_int(obj, "frame_width"),
-        classes=tuple(str(c) for c in obj["classes"]),
+        classes=tuple(classes),
         version=require_int(obj.get("version", 1), "version"),
-        video_id=str(obj.get("video_id", "")),
+        video_id=require_str(obj.get("video_id", ""), "video_id"),
         extra=extra,
     )
 
@@ -200,7 +204,7 @@ def _parse_gt_frame(obj: Any) -> GroundTruthFrame:
         GroundTruthObject(
             gt_track_id=_int(o, "gt_track_id"),
             box=_parse_box(o["box"]),
-            class_label=str(o["class"]),
+            class_label=require_str(o["class"], "class"),
             mask=_parse_mask(o.get("mask")),
         )
         for o in obj["objects"]
@@ -262,7 +266,7 @@ def write_tracking(output: TrackingOutput, stream: VideoStream, path: str | Path
         ],
     } for fa, dets in zip(output.frames, sequence.frames))
     table = {"track_table": [_track_row(t) for t in output.tracks],
-             "config": output.config_dict()}
+             "config": output.config}
     _write_lines(path, chain(frames, [table]))
 
 
@@ -281,7 +285,7 @@ def _parse_tracked_frame(obj: Any) -> tuple[FrameAssignments, tuple[TrackedDet, 
 
 
 def _parse_track_table(tail: Any, frames: tuple[FrameAssignments, ...]
-                       ) -> tuple[tuple[TrackSummary, ...], tuple]:
+                       ) -> tuple[tuple[TrackSummary, ...], dict]:
     """The table's tracks; each row must be the one write_tracking writes for
     the observations on the assignment lines and the row's mean_probs."""
     rows = tail["track_table"]
@@ -297,7 +301,7 @@ def _parse_track_table(tail: Any, frames: tuple[FrameAssignments, ...]
     )
     if len(rows) != len(observed) or [_track_row(t) for t in tracks] != rows:
         raise StreamFormatError("track table disagrees with the assignment lines")
-    return tracks, tuple(sorted(tail.get("config", {}).items()))
+    return tracks, dict(sorted(tail.get("config", {}).items()))
 
 
 def read_tracking(path: str | Path) -> tuple[TrackingOutput, TrackedSequence]:

@@ -49,12 +49,9 @@ class LossWeights:
     match_w_giou: float = 2.0
 
     def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
+        for name, value in asdict(self).items():
             if value < 0:
                 raise DimensionError(f"{name} must be non-negative")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -65,9 +62,6 @@ class LossBreakdown:
     cond_mask_dice: float
     cond_mask_ce: float
     total: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _pred_array(pred_probs: np.ndarray, gt: RleMask) -> tuple[np.ndarray, np.ndarray]:

@@ -10,19 +10,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from . import assignment
-from .errors import FrameAlignmentError, UndefinedMetricError, UnknownClassError
+from .errors import (DimensionError, FrameAlignmentError, UndefinedMetricError,
+                     UnknownClassError)
 from .model import (
     BBox,
     GroundTruthStream,
     RleMask,
     VideoStream,
     box_iou,
-    rle_decode,
+    intervals_overlap,
     similarity,
 )
 from .tracker import TrackingOutput, assigned_slots
@@ -393,26 +395,42 @@ def _box_matches(dets_per_frame, gts: GroundTruthStream, match_iou: float,
     return tp, fp, fn
 
 
+def _foreground(masks, shape: tuple[int, int]) -> list[list[int]]:
+    """The union of the masks given (None skipped) as sorted disjoint intervals.
+
+    Each mask must be shape (height, width), the frame's size.
+    """
+    masks = [m for m in masks if m is not None]
+    for m in masks:
+        if (m.height, m.width) != shape:
+            raise DimensionError(f"mask is {m.height}x{m.width}, frame is {shape[0]}x{shape[1]}")
+    merged: list[list[int]] = []
+    for start, end in sorted(chain.from_iterable(m.foreground_intervals() for m in masks)):
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    return merged
+
+
 def eval_segmentation(preds: VideoStream, gts: GroundTruthStream,
                       tau: float = 0.5, match_iou: float = 0.5) -> DetEvalResult:
-    """Image-wise dice/IoU on mask unions plus box-level precision/recall."""
+    """Image-wise dice/IoU on mask unions plus box-level precision/recall.
+
+    The unions are merged foreground intervals, so the cost follows the
+    runs, not the frame size.
+    """
     check_streams_aligned(preds, gts)
-    h, w = gts.header.frame_height, gts.header.frame_width
+    shape = (gts.header.frame_height, gts.header.frame_width)
     dets_per_frame = _detections(preds, tau)
     dice_vals = []
     iou_vals = []
     for dets, gt_frame in zip(dets_per_frame, gts.frames):
-        pred_union = np.zeros((h, w), dtype=bool)
-        for _, _, slot in dets:
-            if slot.mask is not None:
-                pred_union |= rle_decode(slot.mask).astype(bool)
-        gt_union = np.zeros((h, w), dtype=bool)
-        for obj in gt_frame.objects:
-            if obj.mask is not None:
-                gt_union |= rle_decode(obj.mask).astype(bool)
-        inter = int((pred_union & gt_union).sum())
-        p_area = int(pred_union.sum())
-        g_area = int(gt_union.sum())
+        pred_union = _foreground((slot.mask for _, _, slot in dets), shape)
+        gt_union = _foreground((obj.mask for obj in gt_frame.objects), shape)
+        inter = intervals_overlap(pred_union, gt_union)
+        p_area = sum(end - start for start, end in pred_union)
+        g_area = sum(end - start for start, end in gt_union)
         dice_vals.append(2.0 * inter / (p_area + g_area) if p_area + g_area else 1.0)
         union = p_area + g_area - inter
         iou_vals.append(inter / union if union else 1.0)

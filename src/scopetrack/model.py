@@ -25,6 +25,13 @@ def require_int(value, name: str) -> int:
     return value
 
 
+def require_str(value, name: str) -> str:
+    """value itself when it is a string; a number, list or null raises DataError."""
+    if type(value) is not str:
+        raise DataError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def require_number(value, name: str) -> float:
     """value itself when it is an int or a float; a bool or string raises DataError."""
     if type(value) not in _NUMBER_TYPES:
@@ -289,25 +296,29 @@ def box_iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
+def intervals_overlap(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> int:
+    """Pixels shared by two sorted lists of disjoint [start, end) intervals."""
+    inter = 0
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo = max(a[i][0], b[j][0])
+        hi = min(a[i][1], b[j][1])
+        if hi > lo:
+            inter += hi - lo
+        if a[i][1] <= b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return inter
+
+
 def mask_iou(a: RleMask, b: RleMask) -> float:
     """IoU of two masks, computed on the runs without decoding."""
     if (a.height, a.width) != (b.height, b.width):
         raise DimensionError(
             f"mask dimensions differ: {a.height}x{a.width} vs {b.height}x{b.width}"
         )
-    ia = a.foreground_intervals()
-    ib = b.foreground_intervals()
-    inter = 0
-    i = j = 0
-    while i < len(ia) and j < len(ib):
-        lo = max(ia[i][0], ib[j][0])
-        hi = min(ia[i][1], ib[j][1])
-        if hi > lo:
-            inter += hi - lo
-        if ia[i][1] <= ib[j][1]:
-            i += 1
-        else:
-            j += 1
+    inter = intervals_overlap(a.foreground_intervals(), b.foreground_intervals())
     union = a.area + b.area - inter
     if union == 0:
         return 0.0

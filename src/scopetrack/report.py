@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DataError, StreamFormatError
+from .errors import DataError
 from .model import VideoStream
 from .tracker import TrackingOutput, track_table
 
@@ -33,10 +33,7 @@ class PolypReportEntry:
 class ExamReport:
     video_id: str
     entries: tuple[PolypReportEntry, ...]
-    config: tuple[tuple[str, object], ...]
-
-    def config_dict(self) -> dict:
-        return dict(self.config)
+    config: dict  # keys in sorted order, as rendered
 
 
 def generate_report(tracking: TrackingOutput, stream: VideoStream,
@@ -63,24 +60,17 @@ def generate_report(tracking: TrackingOutput, stream: VideoStream,
             last_frame=track.last_frame,
         ))
     entries.sort(key=lambda e: (e.first_frame, e.polyp_id))
-    config = dict(tracking.config)
-    config["min_frames"] = min_frames
     return ExamReport(
         video_id=stream.header.video_id,
         entries=tuple(entries),
-        config=tuple(sorted(config.items())),
+        config=dict(sorted({**tracking.config, "min_frames": min_frames}.items())),
     )
 
 
 def render_report(report: ExamReport, format: str = "text") -> bytes:
-    """Serialize a report; text is a fixed-width table, json round-trips."""
+    """Serialize a report as a fixed-width text table or as JSON."""
     if format == "json":
-        obj = {
-            "video_id": report.video_id,
-            "entries": [asdict(e) for e in report.entries],
-            "config": report.config_dict(),
-        }
-        return (json.dumps(obj) + "\n").encode()
+        return (json.dumps(asdict(report)) + "\n").encode()
     if format == "text":
         rows = [
             (
@@ -98,27 +88,3 @@ def render_report(report: ExamReport, format: str = "text") -> bytes:
             lines.append("  ".join(v.ljust(widths[i]) for i, v in enumerate(row)).rstrip())
         return ("\n".join(lines) + "\n").encode()
     raise DataError(f"unknown report format {format!r}; use 'text' or 'json'")
-
-
-def parse_report(data: bytes) -> ExamReport:
-    """Inverse of render_report(..., 'json')."""
-    try:
-        obj = json.loads(data.decode())
-        entries = tuple(
-            PolypReportEntry(
-                polyp_id=int(e["polyp_id"]),
-                polyp_type=str(e["polyp_type"]),
-                confidence=float(e["confidence"]),
-                frame_count=int(e["frame_count"]),
-                first_frame=int(e["first_frame"]),
-                last_frame=int(e["last_frame"]),
-            )
-            for e in obj["entries"]
-        )
-        return ExamReport(
-            video_id=str(obj["video_id"]),
-            entries=entries,
-            config=tuple(sorted(obj.get("config", {}).items())),
-        )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise StreamFormatError(f"malformed report JSON: {exc!r}") from exc

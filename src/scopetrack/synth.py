@@ -11,7 +11,7 @@ recorded in the stream header.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -58,27 +58,8 @@ class SynthConfig:
     video_id: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "n_objects": self.n_objects, "n_frames": self.n_frames,
-            "n_queries": self.n_queries, "embed_dim": self.embed_dim,
-            "frame_height": self.frame_height, "frame_width": self.frame_width,
-            "classes": list(self.classes),
-            "embedding_drift": self.embedding_drift,
-            "occlusions": [list(o) for o in self.occlusions],
-            "motion_amplitude": self.motion_amplitude,
-            "motion_freq": self.motion_freq,
-            "box_size": self.box_size,
-            "object_classes": list(self.object_classes) if self.object_classes else None,
-            "swap_at": self.swap_at,
-            "with_masks": self.with_masks,
-            "seed": self.seed,
-        }
-
-
-@dataclass(frozen=True)
-class SynthScenario:
-    name: str
-    config: SynthConfig
+        """The fields a stream header records: all but video_id."""
+        return {k: v for k, v in asdict(self).items() if k != "video_id"}
 
 
 @dataclass(frozen=True)
@@ -266,14 +247,7 @@ def scenario_config(name: str, seed: int) -> SynthConfig:
     raise DataError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
 
 
-def scenarios(seed: int) -> list[SynthScenario]:
-    return [SynthScenario(name, scenario_config(name, seed)) for name in SCENARIO_NAMES]
-
-
 def scenario_suite(seed: int) -> list[ScenarioBundle]:
     """All five scenarios generated from one base seed."""
-    out = []
-    for sc in scenarios(seed):
-        gt, pred = generate(sc.config)
-        out.append(ScenarioBundle(name=sc.name, ground_truth=gt, predictions=pred))
-    return out
+    return [ScenarioBundle(name, *generate(scenario_config(name, seed)))
+            for name in SCENARIO_NAMES]

@@ -49,9 +49,6 @@ class TrackerConfig:
         if self.similarity_floor is not None:
             require_range(self.similarity_floor, "similarity_floor", -math.inf, math.inf)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class TrackRecord:
@@ -95,10 +92,7 @@ class TrackSummary:
 class TrackingOutput:
     frames: tuple[FrameAssignments, ...]
     tracks: tuple[TrackSummary, ...]
-    config: tuple[tuple[str, object], ...]
-
-    def config_dict(self) -> dict:
-        return dict(self.config)
+    config: dict  # keys in sorted order, as written
 
 
 def _normalized_rows(mat: np.ndarray) -> np.ndarray:
@@ -109,23 +103,15 @@ def _normalized_rows(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cosine_scores(prev: np.ndarray, curr: np.ndarray) -> np.ndarray:
-    if curr.shape[0] == 0:
-        raise DataError("current frame has no query slots")
-    if prev.shape[0] and prev.shape[1] != curr.shape[1]:
-        raise DataError(
-            f"embedding dims differ: {prev.shape[1]} vs {curr.shape[1]}"
-        )
-    sims = _normalized_rows(prev) @ _normalized_rows(curr).T
-    np.clip(sims, -1.0, 1.0, out=sims)
-    return sims
-
-
 def _query_scores(live, slots, nonempty):
     """Cosine against every slot, empty ones included."""
     prev = np.asarray([t.last.embedding for t in live], dtype=np.float64)
     curr = np.asarray([s.embedding for s in slots], dtype=np.float64)
-    return list(range(len(slots))), _cosine_scores(prev, curr)
+    if prev.shape[1] != curr.shape[1]:
+        raise DataError(f"embedding dims differ: {prev.shape[1]} vs {curr.shape[1]}")
+    sims = _normalized_rows(prev) @ _normalized_rows(curr).T
+    np.clip(sims, -1.0, 1.0, out=sims)
+    return list(range(len(slots))), sims
 
 
 def _iou_scores(live, slots, nonempty):
@@ -153,7 +139,7 @@ def _advance(state: TrackState, frame: FramePrediction, cfg: TrackerConfig,
         cols, scores = scorer(state.live, slots, nonempty)
         if cols:
             cost = assignment.CostMatrix((-scores).tolist())
-            matched = assignment.solve(cost).as_dict()
+            matched = dict(assignment.solve(cost).pairs)
 
     patience = cfg.death_patience if cfg.carry_forward else 0
     taken: dict[int, int] = {}  # slot -> track_id
@@ -250,7 +236,7 @@ def _run(stream: VideoStream, cfg: TrackerConfig, scorer: Callable,
     return TrackingOutput(
         frames=tuple(frames),
         tracks=track_table(stream, frames),
-        config=tuple(sorted({**cfg.as_dict(), **config}.items())),
+        config=dict(sorted({**asdict(cfg), **config}.items())),
     )
 
 

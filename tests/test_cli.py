@@ -399,6 +399,14 @@ def _tracks_edit(lineno, edit, command):
     return case
 
 
+def _gt_class_integer(tmp_path, gt_path, pred_path):
+    """Label the first object 1 under a header that lists the class "1"."""
+    tracks = _tracks_for(tmp_path, pred_path)
+    _rewrite_line(gt_path, 1, lambda h: h["classes"].append("1"))
+    _rewrite_line(gt_path, 2, lambda frame: frame["objects"][0].__setitem__("class", 1))
+    return ["eval-track", "--pred", str(tracks), "--gt", str(gt_path)], f"{gt_path}:2:"
+
+
 def _first_assignment(key, value):
     return lambda frame: frame["assignments"][0].__setitem__(key, value)
 
@@ -462,6 +470,12 @@ _BAD_INPUTS = {
     "config_alpha_boolean": _config_file('{"alpha": true}', "alpha", "eval-track"),
     "weight_boolean": _weights_file('{"w_cls": true}'),
     "weight_nan": _weights_file('{"w_cls": NaN}'),
+    "video_id_list": _stream_edit(1, lambda h: h.__setitem__("video_id", ["x"])),
+    "classes_string": _stream_edit(1, lambda h: h.__setitem__("classes", "AD")),
+    "gt_class_integer": _gt_class_integer,
+    "config_patience_zero": _config_file('{"patience": 0}', "error: patience"),
+    "config_patience_boolean": _config_file('{"patience": true}', "error: patience"),
+    "patience_flag_zero": _flags("track", "error: patience", "--patience", "0"),
 }
 
 
@@ -479,3 +493,56 @@ def test_malformed_input_is_data_error(tmp_path, name):
     assert "Traceback" not in proc.stderr
     if location is not None:
         assert location in proc.stderr
+
+
+_ADDRESS_SPACE_CAP = 4 << 30
+
+
+def _capped_run(argv, cwd):
+    """Run the CLI in a child process whose address space is capped at 4 GiB.
+
+    Under the cap a huge allocation fails at once, whatever the host's
+    overcommit setting; uncapped it might not.
+    """
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE_CAP, hard))
+
+    src = str(Path(scopetrack.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "scopetrack"] + argv, cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS="1"),
+                          preexec_fn=cap, capture_output=True, text=True)
+
+
+def _one_frame_files(tmp_path, size, mask=None):
+    """A one-slot stream and its ground truth, one frame, under a size x size header."""
+    header = {"version": 1, "n_queries": 1, "embed_dim": 2, "frame_height": size,
+              "frame_width": size, "classes": ["AD"]}
+    box = [0.0, 0.0, 10.0, 10.0]
+    slot = {"embedding": [1.0, 0.0], "box": box, "probs": [0.9], "mask": mask}
+    obj = {"gt_track_id": 0, "box": box, "mask": mask, "class": "AD"}
+    pred_path, gt_path = tmp_path / f"pred{size}.jsonl", tmp_path / f"gt{size}.jsonl"
+    for path, frame in ((pred_path, {"frame_index": 0, "slots": [slot]}),
+                        (gt_path, {"frame_index": 0, "objects": [obj]})):
+        path.write_text(json.dumps(header) + "\n" + json.dumps(frame) + "\n")
+    return ["--pred", str(pred_path), "--gt", str(gt_path)]
+
+
+class TestHugeFrames:
+    def test_eval_det_cost_does_not_follow_frame_size(self, tmp_path):
+        huge = _capped_run(["eval-det"] + _one_frame_files(tmp_path, 1_000_000), tmp_path)
+        small = _capped_run(["eval-det"] + _one_frame_files(tmp_path, 256), tmp_path)
+        assert huge.returncode == 0, huge.stderr
+        assert small.returncode == 0, small.stderr
+        assert huge.stdout == small.stdout
+
+    def test_out_of_memory_is_data_error(self, tmp_path):
+        mask = {"h": 1_000_000, "w": 1_000_000, "runs": [999_999_999_900, 100]}
+        proc = _capped_run(["loss-check"] + _one_frame_files(tmp_path, 1_000_000, mask),
+                           tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: out of memory")

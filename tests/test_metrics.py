@@ -14,6 +14,7 @@ from scopetrack import assignment
 from scopetrack.assignment import CostMatrix, solve
 from scopetrack.errors import (
     DataError,
+    DimensionError,
     FrameAlignmentError,
     UndefinedMetricError,
     UnknownClassError,
@@ -400,6 +401,40 @@ class TestEvalSegmentation:
         res = eval_segmentation(pred, gt)
         assert res.dice == pytest.approx(0.5, abs=1e-12)
         assert res.iou == pytest.approx(1 / 3, abs=1e-12)
+
+    def test_unions_match_raster_oracle(self):
+        # several masks a side, overlapping or touching, and slots without one
+        rng = np.random.Generator(np.random.Philox(5))
+
+        def grids():
+            return [(rng.random((8, 8)) < rng.random()).astype(np.uint8)
+                    if rng.random() < 0.8 else None for _ in range(rng.integers(0, 4))]
+
+        frames = [(grids(), grids()) for _ in range(300)]
+        pred, gt = det_streams([
+            ([(BOX, (0.9, 0.0), g) for g in p], [(i, BOX, "AD", g) for i, g in enumerate(q)])
+            for p, q in frames
+        ])
+        def union(side):
+            out = np.zeros((8, 8), dtype=bool)
+            for g in side:
+                if g is not None:
+                    out |= g.astype(bool)
+            return out
+
+        dice, iou = [], []
+        for p, q in frames:
+            pu, gu = union(p), union(q)
+            inter, areas = int((pu & gu).sum()), int(pu.sum()) + int(gu.sum())
+            dice.append(2.0 * inter / areas if areas else 1.0)
+            iou.append(inter / (areas - inter) if areas - inter else 1.0)
+        res = eval_segmentation(pred, gt)
+        assert (res.dice, res.iou) == (sum(dice) / len(dice), sum(iou) / len(iou))
+
+    def test_mask_of_another_size_rejected(self):
+        pred, gt = det_streams([([(BOX, (0.9, 0.0), np.ones((8, 9), np.uint8))], [])])
+        with pytest.raises(DimensionError):
+            eval_segmentation(pred, gt)
 
 
 class TestClassificationF1:
