@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 from functools import partial
@@ -110,20 +109,13 @@ def _tracker_config(args, file_cfg: dict) -> tracker.TrackerConfig:
 
 
 def _weights(path: str | None, file_cfg: dict) -> losses.LossWeights:
-    if path is not None:
-        obj = io.load_json_object(path)
-    else:
-        obj = file_cfg.get("weights", {})
+    obj = file_cfg.get("weights", {}) if path is None else io.load_json_object(path)
     if not isinstance(obj, dict):
         raise DataError("weights must be a JSON object")
-    for key, value in obj.items():
-        require_range(value, key, 0.0, math.inf, open_high=True)
-    known = asdict(losses.LossWeights())
-    unknown = set(obj) - set(known)
+    unknown = set(obj) - set(asdict(losses.LossWeights()))
     if unknown:
         raise DataError(f"unknown weight keys: {sorted(unknown)}")
-    known.update(obj)
-    return losses.LossWeights(**known)
+    return losses.LossWeights(**obj)
 
 
 def _pct(value: float) -> float:
@@ -162,7 +154,7 @@ def _cmd_eval_det(args, file_cfg: dict) -> int:
             "F1": _pct(f1),
         },
         "counts": {"tp": det.tp, "fp": det.fp, "fn": det.fn},
-        "config": {"tau": tau, "match_iou": 0.5},
+        "config": {"tau": tau, "match_iou": metrics.MATCH_IOU},
     }))
     return EXIT_OK
 
@@ -247,6 +239,10 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("missing subcommand")
+        if args.command == "track" and args.iou_floor is not None and not args.baseline_iou:
+            raise _UsageError("--iou-floor is only used with --baseline-iou")
+        if args.command == "track" and args.similarity_floor is not None and args.baseline_iou:
+            raise _UsageError("--similarity-floor is not used with --baseline-iou")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,8 +2,8 @@
 
 Line 1 of every stream file is the header object; every later line is one
 frame. Floats go through json's repr serialization, which round-trips
-exactly; integer fields must be JSON integers, and number fields JSON
-numbers, not booleans or strings. The stream and ground-truth readers also
+exactly. Each model type checks its fields as it is built, so readers only
+decode and call constructors. The stream and ground-truth readers also
 check the model's invariants (validate_stream, validate_ground_truth); a
 file that breaks them raises StreamFormatError naming the path and the
 first three violations.
@@ -29,8 +29,9 @@ from .model import (
     RleMask,
     StreamHeader,
     VideoStream,
+    frame_order,
+    require_floats,
     require_int,
-    require_numbers,
     require_str,
     validate_ground_truth,
     validate_stream,
@@ -151,8 +152,7 @@ def _read_frames(path: str | Path, what: str, parse_frame: Callable[[Any], Any],
 def _parse_mask(obj: Any) -> RleMask | None:
     if obj is None:
         return None
-    return RleMask(height=_int(obj, "h"), width=_int(obj, "w"),
-                   runs=[require_int(r, "runs") for r in obj["runs"]])
+    return RleMask(height=obj["h"], width=obj["w"], runs=obj["runs"])
 
 
 def _mask_obj(mask: RleMask | None) -> dict | None:
@@ -161,17 +161,12 @@ def _mask_obj(mask: RleMask | None) -> dict | None:
     return {"h": mask.height, "w": mask.width, "runs": list(mask.runs)}
 
 
-def _parse_box(obj: Any) -> BBox:
-    x1, y1, x2, y2 = (float(v) for v in require_numbers(obj, "box"))
-    return BBox(x1, y1, x2, y2)
-
-
 def _parse_frame(obj: Any) -> FramePrediction:
     slots = tuple(
         QuerySlot(
-            embedding=require_numbers(s["embedding"], "embedding"),
-            box=_parse_box(s["box"]),
-            classes=ClassDistribution(require_numbers(s["probs"], "probs")),
+            embedding=s["embedding"],
+            box=BBox(*s["box"]),
+            classes=ClassDistribution(s["probs"]),
             mask=_parse_mask(s.get("mask")),
         )
         for s in obj["slots"]
@@ -203,7 +198,7 @@ def _parse_gt_frame(obj: Any) -> GroundTruthFrame:
     objects = tuple(
         GroundTruthObject(
             gt_track_id=_int(o, "gt_track_id"),
-            box=_parse_box(o["box"]),
+            box=BBox(*o["box"]),
             class_label=require_str(o["class"], "class"),
             mask=_parse_mask(o.get("mask")),
         )
@@ -278,7 +273,7 @@ def _parse_tracked_frame(obj: Any) -> tuple[FrameAssignments, tuple[TrackedDet, 
         if len(set(values)) < len(values):
             raise StreamFormatError(f"frame {frame_index} repeats a {name}: {list(values)}")
     dets = tuple(
-        TrackedDet(track_id, _parse_box(rec["box"]), _parse_mask(rec.get("mask")))
+        TrackedDet(track_id, BBox(*rec["box"]), _parse_mask(rec.get("mask")))
         for (_, track_id), rec in zip(assignments, records)
     )
     return FrameAssignments(frame_index=frame_index, assignments=assignments), dets
@@ -295,8 +290,7 @@ def _parse_track_table(tail: Any, frames: tuple[FrameAssignments, ...]
             require_int(value, "observations")
     observed = track_observations(frames)
     tracks = tuple(
-        TrackSummary(track_id, observations,
-                     tuple(float(p) for p in require_numbers(row["mean_probs"], "mean_probs")))
+        TrackSummary(track_id, observations, require_floats(row["mean_probs"], "mean_probs"))
         for (track_id, observations), row in zip(observed.items(), rows)
     )
     if len(rows) != len(observed) or [_track_row(t) for t in tracks] != rows:
@@ -318,12 +312,8 @@ def read_tracking(path: str | Path) -> tuple[TrackingOutput, TrackedSequence]:
         raise StreamFormatError(f"{path}: missing trailing track-table line")
     parsed = _parse_records(path, lines[:-1], "tracks record", _parse_tracked_frame)
     frames = tuple(fa for fa, _ in parsed)
-    for (lineno, _), prev, fa in zip(lines[1:], frames, frames[1:]):
-        if fa.frame_index <= prev.frame_index:
-            raise StreamFormatError(
-                f"{path}:{lineno}: frame_index {fa.frame_index} not strictly increasing "
-                f"(previous {prev.frame_index})"
-            )
+    for pos, reason in frame_order([fa.frame_index for fa in frames]):
+        raise StreamFormatError(f"{path}:{lines[pos][0]}: {reason}")
     tracks, config = _parse_records(path, lines[-1:], "track table",
                                     lambda obj: _parse_track_table(obj, frames))[0]
     output = TrackingOutput(frames=frames, tracks=tracks, config=config)

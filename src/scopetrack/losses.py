@@ -28,6 +28,7 @@ from .model import (
     RleMask,
     StreamHeader,
     box_iou,
+    require_range,
     rle_decode,
 )
 
@@ -50,8 +51,7 @@ class LossWeights:
 
     def __post_init__(self) -> None:
         for name, value in asdict(self).items():
-            if value < 0:
-                raise DimensionError(f"{name} must be non-negative")
+            require_range(value, name, 0.0, math.inf, open_high=True)
 
 
 @dataclass(frozen=True)

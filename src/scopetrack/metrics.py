@@ -32,6 +32,7 @@ from .tracker import TrackingOutput, assigned_slots
 HOTA_ALPHAS = tuple(i / 100 for i in range(5, 100, 5))
 # mirrors the reference implementation's epsilon guard on the threshold test
 ALPHA_MARGIN = 1e-12
+MATCH_IOU = 0.5  # box IoU a detection needs to match an object in eval-det
 
 
 @dataclass(frozen=True)
@@ -364,12 +365,12 @@ def _detections(preds: VideoStream, tau: float):
     return out
 
 
-def _box_matches(dets_per_frame, gts: GroundTruthStream, match_iou: float,
+def _box_matches(dets_per_frame, gts: GroundTruthStream,
                  classes: Sequence[str] | None = None) -> tuple[int, int, int]:
     """(tp, fp, fn) of greedy box matching, frame by frame.
 
     Each detection, in confidence order, takes the unmatched object of
-    highest box IoU (the first on ties) if that IoU reaches match_iou. With
+    highest box IoU (the first on ties) if that IoU reaches MATCH_IOU. With
     classes given, a detection only takes objects of its argmax class.
     """
     tp = fp = fn = 0
@@ -384,7 +385,7 @@ def _box_matches(dets_per_frame, gts: GroundTruthStream, match_iou: float,
                 if label is not None and obj.class_label != label:
                     continue
                 iou = box_iou(slot.box, obj.box)
-                if iou >= match_iou and iou > best_iou:
+                if iou >= MATCH_IOU and iou > best_iou:
                     best, best_iou = gi, iou
             if best is None:
                 fp += 1
@@ -414,7 +415,7 @@ def _foreground(masks, shape: tuple[int, int]) -> list[list[int]]:
 
 
 def eval_segmentation(preds: VideoStream, gts: GroundTruthStream,
-                      tau: float = 0.5, match_iou: float = 0.5) -> DetEvalResult:
+                      tau: float = 0.5) -> DetEvalResult:
     """Image-wise dice/IoU on mask unions plus box-level precision/recall.
 
     The unions are merged foreground intervals, so the cost follows the
@@ -434,7 +435,7 @@ def eval_segmentation(preds: VideoStream, gts: GroundTruthStream,
         dice_vals.append(2.0 * inter / (p_area + g_area) if p_area + g_area else 1.0)
         union = p_area + g_area - inter
         iou_vals.append(inter / union if union else 1.0)
-    tp, fp, fn = _box_matches(dets_per_frame, gts, match_iou)
+    tp, fp, fn = _box_matches(dets_per_frame, gts)
     n_frames = max(1, len(dice_vals))
     return DetEvalResult(
         dice=sum(dice_vals) / n_frames,
@@ -446,7 +447,7 @@ def eval_segmentation(preds: VideoStream, gts: GroundTruthStream,
 
 
 def eval_classification_f1(preds: VideoStream, gts: GroundTruthStream,
-                           tau: float = 0.5, match_iou: float = 0.5) -> float:
+                           tau: float = 0.5) -> float:
     """F1 where a true positive needs box IoU >= 0.5 and the right class."""
     check_streams_aligned(preds, gts)
     classes = gts.header.classes
@@ -456,7 +457,7 @@ def eval_classification_f1(preds: VideoStream, gts: GroundTruthStream,
                 raise UnknownClassError(
                     f"ground-truth class {obj.class_label!r} not in {classes}"
                 )
-    tp, fp, fn = _box_matches(_detections(preds, tau), gts, match_iou, classes)
+    tp, fp, fn = _box_matches(_detections(preds, tau), gts, classes)
     if tp + fp == 0 and tp + fn == 0:
         return 1.0
     precision = tp / (tp + fp) if tp + fp else 1.0

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,15 +39,32 @@ def require_number(value, name: str) -> float:
     return value
 
 
-def require_numbers(values, name: str):
-    """values itself when every element passes require_number.
-
-    The types are tested in one C-level pass, as embeddings are wide.
-    """
-    if not _NUMBER_TYPES.issuperset(map(type, values)):
+def _convert(values, name: str, kinds: tuple, what: str, convert) -> tuple:
+    """values as a tuple of convert(value); each must be one of kinds, not a bool.
+    A tuple holding only convert's own type is returned as it is."""
+    values = values if type(values) is tuple else tuple(values)
+    types = set(map(type, values))  # one C-level pass, as embeddings are wide
+    if not types <= {int, convert}:
         for value in values:
-            require_number(value, name)
-    return values
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise DataError(f"{name} must be {what}, got {value!r}")
+    # tuple() of a list allocates once; of a bare map it regrows, fragmenting the heap
+    return values if types <= {convert} else tuple(list(map(convert, values)))
+
+
+def require_floats(values, name: str) -> tuple[float, ...]:
+    """values as finite floats: ints, floats or numpy real scalars. A bool or
+    a string raises DataError, NaN or an infinity DimensionError."""
+    floats = _convert(values, name, (int, float, np.integer, np.floating), "a number", float)
+    # a sum is finite only if every term is; the exact test runs when it overflows
+    if not math.isfinite(sum(floats)) and not all(map(math.isfinite, floats)):
+        raise DimensionError(f"{name} values must be finite")
+    return floats
+
+
+def require_ints(values, name: str) -> tuple[int, ...]:
+    """values as ints: Python or numpy integers, not bools."""
+    return _convert(values, name, (int, np.integer), "an integer", int)
 
 
 def require_range(value, name: str, low: float, high: float,
@@ -75,9 +92,11 @@ class BBox:
     y2: float
 
     def __post_init__(self) -> None:
-        coords = (self.x1, self.y1, self.x2, self.y2)
-        if not all(math.isfinite(c) for c in coords):
-            raise DimensionError(f"box coordinates must be finite, got {coords}")
+        raw = (self.x1, self.y1, self.x2, self.y2)
+        coords = require_floats(raw, "box")
+        if coords is not raw:  # object.__setattr__ keeps the instance dict key-shared
+            for name, value in zip(("x1", "y1", "x2", "y2"), coords):
+                object.__setattr__(self, name, value)
         if self.x1 > self.x2 or self.y1 > self.y2:
             raise DimensionError(f"box corners out of order: {coords}")
 
@@ -114,11 +133,12 @@ class RleMask:
     runs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.height <= 0 or self.width <= 0:
-            raise MaskFormatError(
-                f"mask dimensions must be positive, got {self.height}x{self.width}"
-            )
-        object.__setattr__(self, "runs", tuple(int(r) for r in self.runs))
+        height, width = require_ints((self.height, self.width), "mask size")
+        for name, value in (("height", height), ("width", width),
+                            ("runs", require_ints(self.runs, "runs"))):
+            object.__setattr__(self, name, value)
+        if height <= 0 or width <= 0:
+            raise MaskFormatError(f"mask dimensions must be positive, got {height}x{width}")
         if not self.runs:
             raise MaskFormatError("mask needs at least one run")
         if any(r < 0 for r in self.runs):
@@ -154,8 +174,8 @@ class ClassDistribution:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        if any(not math.isfinite(p) or p < -PROB_SLACK or p > 1 + PROB_SLACK for p in self.probs):
+        object.__setattr__(self, "probs", require_floats(self.probs, "probs"))
+        if any(p < -PROB_SLACK or p > 1 + PROB_SLACK for p in self.probs):
             raise DimensionError(f"class probabilities out of [0,1]: {self.probs}")
         if sum(self.probs) > 1 + PROB_SLACK:
             raise DimensionError(f"class probabilities sum beyond 1: {self.probs}")
@@ -186,11 +206,7 @@ class QuerySlot:
     mask: RleMask | None = None
 
     def __post_init__(self) -> None:
-        # from a list, tuple() allocates once at the final size; from a
-        # bare iterator it grows and shrinks, fragmenting the heap on wide embeddings
-        object.__setattr__(self, "embedding", tuple(list(map(float, self.embedding))))
-        if any(not math.isfinite(v) for v in self.embedding):
-            raise DimensionError("slot embedding has non-finite values")
+        object.__setattr__(self, "embedding", require_floats(self.embedding, "embedding"))
 
     def is_empty(self, tau: float) -> bool:
         """A slot is 'no object' when no foreground class reaches tau."""
@@ -273,8 +289,7 @@ def rle_encode(bitmap: np.ndarray | Sequence[Sequence[int]]) -> RleMask:
     runs = np.diff(bounds).tolist()
     if flat[0] != 0:
         runs.insert(0, 0)
-    h, w = grid.shape
-    return RleMask(height=int(h), width=int(w), runs=tuple(int(r) for r in runs))
+    return RleMask(*grid.shape, runs)
 
 
 def rle_decode(mask: RleMask) -> np.ndarray:
@@ -335,28 +350,34 @@ def similarity(a, b) -> float:
     return box_iou(a.box, b.box)
 
 
-def _check_slot(header: StreamHeader, frame_index: int, slot_index: int,
-                slot: QuerySlot, out: list[str]) -> None:
+def frame_order(indices: Sequence[int]) -> Iterator[tuple[int, str]]:
+    """(position, reason) per violation of: frame indices are >= 0 and strictly increasing."""
+    for pos, index in enumerate(indices):
+        if index < 0:
+            yield pos, f"frame_index must be >= 0, got {index}"
+        elif pos and index <= indices[pos - 1]:
+            yield pos, f"frame_index {index} not strictly increasing (previous {indices[pos - 1]})"
+
+
+def _check_mask(header: StreamHeader, mask: RleMask | None, where: str, out: list[str]) -> None:
+    """A mask is the frame's size."""
+    if mask is not None and (mask.height, mask.width) != (header.frame_height, header.frame_width):
+        out.append(f"{where}: mask is {mask.height}x{mask.width}, frame is "
+                   f"{header.frame_height}x{header.frame_width}")
+
+
+def _check_slot(header: StreamHeader, where: str, slot: QuerySlot, out: list[str]) -> None:
     if len(slot.embedding) != header.embed_dim:
-        out.append(
-            f"frame {frame_index} slot {slot_index}: embedding length "
-            f"{len(slot.embedding)} != C={header.embed_dim}"
-        )
+        out.append(f"{where}: embedding length {len(slot.embedding)} != C={header.embed_dim}")
     if len(slot.classes.probs) != len(header.classes):
-        out.append(
-            f"frame {frame_index} slot {slot_index}: {len(slot.classes.probs)} class "
-            f"probs for {len(header.classes)} classes"
-        )
-    if slot.mask is not None and (slot.mask.height, slot.mask.width) != (
-            header.frame_height, header.frame_width):
-        out.append(
-            f"frame {frame_index} slot {slot_index}: mask is "
-            f"{slot.mask.height}x{slot.mask.width}, frame is "
-            f"{header.frame_height}x{header.frame_width}"
-        )
+        out.append(f"{where}: {len(slot.classes.probs)} class probs for "
+                   f"{len(header.classes)} classes")
+    _check_mask(header, slot.mask, where, out)
 
 
-def _check_header(header: StreamHeader, out: list[str]) -> None:
+def _check_common(stream: VideoStream | GroundTruthStream, out: list[str]) -> None:
+    """The rules streams and ground truth share: the header's, and the frame order."""
+    header = stream.header
     if header.n_queries <= 0:
         out.append(f"header: n_queries must be positive, got {header.n_queries}")
     if header.embed_dim <= 0:
@@ -368,42 +389,29 @@ def _check_header(header: StreamHeader, out: list[str]) -> None:
         )
     if not header.classes:
         out.append("header: class set is empty")
+    out.extend(reason for _, reason in frame_order([f.frame_index for f in stream.frames]))
 
 
 def validate_stream(stream: VideoStream) -> list[str]:
     """Check stream-level invariants; violations are data, not exceptions."""
     out: list[str] = []
-    _check_header(stream.header, out)
-    prev_index = None
+    _check_common(stream, out)
     for frame in stream.frames:
-        if prev_index is not None and frame.frame_index <= prev_index:
-            out.append(
-                f"frame {frame.frame_index}: frame_index not strictly increasing "
-                f"(previous {prev_index})"
-            )
-        prev_index = frame.frame_index
         if len(frame.slots) != stream.header.n_queries:
             out.append(
                 f"frame {frame.frame_index}: {len(frame.slots)} slots, "
                 f"header declares N={stream.header.n_queries}"
             )
         for j, slot in enumerate(frame.slots):
-            _check_slot(stream.header, frame.frame_index, j, slot, out)
+            _check_slot(stream.header, f"frame {frame.frame_index} slot {j}", slot, out)
     return out
 
 
 def validate_ground_truth(stream: GroundTruthStream) -> list[str]:
     """Ground-truth counterpart of validate_stream."""
     out: list[str] = []
-    _check_header(stream.header, out)
-    prev_index = None
+    _check_common(stream, out)
     for frame in stream.frames:
-        if prev_index is not None and frame.frame_index <= prev_index:
-            out.append(
-                f"gt frame {frame.frame_index}: frame_index not strictly increasing "
-                f"(previous {prev_index})"
-            )
-        prev_index = frame.frame_index
         seen: set[int] = set()
         for obj in frame.objects:
             if obj.gt_track_id in seen:
@@ -417,12 +425,7 @@ def validate_ground_truth(stream: GroundTruthStream) -> list[str]:
                     f"gt frame {frame.frame_index}: unknown class "
                     f"{obj.class_label!r}"
                 )
-            if obj.mask is not None and (obj.mask.height, obj.mask.width) != (
-                    stream.header.frame_height, stream.header.frame_width):
-                out.append(
-                    f"gt frame {frame.frame_index}: object {obj.gt_track_id} mask is "
-                    f"{obj.mask.height}x{obj.mask.width}, frame is "
-                    f"{stream.header.frame_height}x{stream.header.frame_width}"
-                )
+            _check_mask(stream.header, obj.mask,
+                        f"gt frame {frame.frame_index}: object {obj.gt_track_id}", out)
     return out
 

@@ -141,19 +141,17 @@ def generate(cfg: SynthConfig) -> tuple[GroundTruthStream, VideoStream]:
         cfg.classes[i % len(cfg.classes)] for i in range(cfg.n_objects)
     ]
 
-    def center(obj: int, t: int) -> tuple[float, float]:
-        # objects 0 and 1 trade paths (and slots) from swap_at onward
-        path = obj
-        if cfg.swap_at is not None and t >= cfg.swap_at and obj in (0, 1):
-            path = 1 - obj
-        band = h * (path + 1) / (cfg.n_objects + 1)
-        angle = 2.0 * math.pi * cfg.motion_freq * t + phases[path]
-        return (w / 2 + radius * math.cos(angle), band + radius * math.sin(angle))
-
     def slot_of(obj: int, t: int) -> int:
+        # objects 0 and 1 trade slots (and paths) from swap_at onward
         if cfg.swap_at is not None and t >= cfg.swap_at and obj in (0, 1):
             return 1 - obj
         return obj
+
+    def center(obj: int, t: int) -> tuple[float, float]:
+        path = slot_of(obj, t)
+        band = h * (path + 1) / (cfg.n_objects + 1)
+        angle = 2.0 * math.pi * cfg.motion_freq * t + phases[path]
+        return (w / 2 + radius * math.cos(angle), band + radius * math.sin(angle))
 
     hidden = {
         (obj, t)

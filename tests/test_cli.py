@@ -50,6 +50,20 @@ class TestTrack:
         summary = json.loads(capsys.readouterr().out)
         assert summary["config"]["algorithm"] == "iou_baseline"
 
+    @pytest.mark.parametrize("flags", [
+        ["--iou-floor", "nan"],
+        ["--baseline-iou", "--similarity-floor", "0.99"],
+    ], ids=["iou_floor_without_baseline", "similarity_floor_with_baseline"])
+    def test_unused_flag_is_usage_error(self, tmp_path, capsys, flags):
+        _, pred_path = synth_files(tmp_path)
+        out_path = tmp_path / "tracks.jsonl"
+        code = run(["track", "--in", str(pred_path), "--out", str(out_path), *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "--baseline-iou" in err and flags[-2] in err
+        assert not out_path.exists()
+
     def test_deterministic_output_bytes(self, tmp_path, capsys):
         _, pred_path = synth_files(tmp_path)
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

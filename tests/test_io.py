@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from scopetrack import io
-from scopetrack.errors import FrameAlignmentError, StreamFormatError
+from scopetrack.errors import DimensionError, FrameAlignmentError, StreamFormatError
 from scopetrack.metrics import TrackedSequence
-from scopetrack.model import VideoStream
+from scopetrack.model import BBox, VideoStream
 from scopetrack.synth import generate, scenario_config
 from scopetrack.tracker import track_video
 
@@ -153,3 +155,48 @@ class TestMalformedFiles:
         path.write_text("")
         with pytest.raises(StreamFormatError):
             io.read_stream(path)
+
+
+class TestFrameOrder:
+    """Frame indices are >= 0 and strictly increasing in every file kind."""
+
+    def test_negative_ground_truth_frame_rejected(self, tmp_path, bundle):
+        gt, _ = bundle
+        path = tmp_path / "gt.jsonl"
+        io.write_ground_truth(gt, path)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        lines[1]["frame_index"] = -1
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(StreamFormatError, match="frame_index must be >= 0, got -1"):
+            io.read_ground_truth(path)
+
+    def test_negative_tracks_frame_rejected(self, tmp_path, bundle):
+        _, pred = bundle
+        path = tmp_path / "tracks.jsonl"
+        io.write_tracking(track_video(pred), pred, path)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        lines[0]["frame_index"] = -1
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(StreamFormatError, match=f"{path}:1: frame_index must be >= 0"):
+            io.read_tracking(path)
+
+
+class TestNumbers:
+    def test_non_finite_mean_probs_rejected(self, tmp_path, bundle):
+        _, pred = bundle
+        path = tmp_path / "tracks.jsonl"
+        io.write_tracking(track_video(pred), pred, path)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        lines[-1]["track_table"][0]["mean_probs"][0] = float("nan")
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(DimensionError, match="mean_probs"):
+            io.read_tracking(path)
+
+    def test_numpy_box_is_written_as_float(self, tmp_path, bundle):
+        _, pred = bundle
+        frame = pred.frames[0]
+        slot = replace(frame.slots[0], box=BBox(np.float32(0.5), 0.0, 2.0, 2.0))
+        stream = replace(pred, frames=(replace(frame, slots=(slot,) + frame.slots[1:]),))
+        path = tmp_path / "pred.jsonl"
+        io.write_stream(stream, path)
+        assert io.read_stream(path) == stream

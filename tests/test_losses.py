@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from scopetrack.errors import (
+    DataError,
     CapacityError,
     DimensionError,
     MissingPredictionMaskError,
@@ -340,3 +341,14 @@ class TestTotalLoss:
             assert plain.cls == masked.cls
             assert plain.bbox_l1 == masked.bbox_l1
             assert plain.bbox_giou == masked.bbox_giou
+
+
+class TestLossWeights:
+    @pytest.mark.parametrize("value", [float("nan"), "2", True, -1.0, math.inf],
+                             ids=["nan", "string", "boolean", "negative", "infinite"])
+    def test_bad_weight_is_data_error(self, value):
+        with pytest.raises(DataError, match="w_cls"):
+            LossWeights(w_cls=value)
+
+    def test_weights_held_as_given(self):
+        assert type(LossWeights(w_cls=1).w_cls) is int

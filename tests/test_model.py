@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scopetrack.errors import DimensionError, MaskFormatError
+from scopetrack.errors import DataError, DimensionError, MaskFormatError
 from scopetrack.model import (
     BBox,
     ClassDistribution,
@@ -192,3 +192,62 @@ class TestValidateStream:
                 box=BBox(0, 0, 1, 1),
                 classes=ClassDistribution((0.5,)),
             )
+
+
+class TestNumberRule:
+    """A held number is an int, a float or a numpy real scalar, never a bool
+    or a string; mask sizes and runs are integers, never fractions."""
+
+    def test_boolean_box_rejected(self):
+        with pytest.raises(DataError, match="box"):
+            BBox(True, 0.0, 2.0, 2.0)
+
+    def test_numpy_box_held_as_floats(self):
+        box = BBox(np.float32(0.5), 0.0, 2.0, 2.0)
+        assert type(box.x1) is float and box.x1 == 0.5
+
+    def test_integer_box_held_as_floats(self):
+        assert all(type(c) is float for c in BBox(0, 0, 10, 10).as_tuple())
+
+    @pytest.mark.parametrize("probs", [("0.9",), (True,)], ids=["string", "boolean"])
+    def test_probs_must_be_numbers(self, probs):
+        with pytest.raises(DataError, match="probs"):
+            ClassDistribution(probs)
+
+    def test_string_embedding_rejected(self):
+        with pytest.raises(DataError, match="embedding"):
+            QuerySlot(embedding=("1", "0"), box=BBox(0, 0, 1, 1),
+                      classes=ClassDistribution((0.5,)))
+
+    def test_numpy_embedding_held_as_floats(self):
+        slot = QuerySlot(embedding=np.array([1.0, 0.25], dtype=np.float32),
+                         box=BBox(0, 0, 1, 1), classes=ClassDistribution((0.5,)))
+        assert slot.embedding == (1.0, 0.25)
+        assert all(type(v) is float for v in slot.embedding)
+
+    def test_finite_values_whose_sum_overflows_held(self):
+        slot = QuerySlot(embedding=(1e308, 1e308), box=BBox(0, 0, 1e308, 1e308),
+                         classes=ClassDistribution((0.5,)))
+        assert slot.embedding == (1e308, 1e308)
+
+    @pytest.mark.parametrize("embedding", [(float("inf"), float("-inf")), (float("nan"), 1.0)],
+                             ids=["infinities", "nan"])
+    def test_non_finite_values_rejected(self, embedding):
+        with pytest.raises(DimensionError, match="embedding"):
+            QuerySlot(embedding=embedding, box=BBox(0, 0, 1, 1),
+                      classes=ClassDistribution((0.5,)))
+
+    def test_iterators_taken_whole(self):
+        slot = QuerySlot(embedding=iter([1.0, 0.0]), box=BBox(0, 0, 1, 1),
+                         classes=ClassDistribution(p for p in (0.5, 0.25)))
+        assert slot.embedding == (1.0, 0.0) and slot.classes.probs == (0.5, 0.25)
+        assert RleMask(1, 4, (r for r in (2, 2))).runs == (2, 2)
+
+    def test_fractional_runs_rejected(self):
+        with pytest.raises(DataError, match="runs"):
+            RleMask(1, 4, (2.9, 2.1))
+
+    def test_numpy_runs_held_as_ints(self):
+        mask = RleMask(np.int64(1), np.int64(4), (np.int64(2), np.int64(2)))
+        assert mask == RleMask(1, 4, (2, 2))
+        assert all(type(v) is int for v in (mask.height, mask.width, *mask.runs))
