@@ -99,12 +99,16 @@ def _patience(value, key: str) -> int:
 
 
 def _tracker_config(args, file_cfg: dict) -> tracker.TrackerConfig:
+    # the IoU baseline ignores a config file's similarity_floor, as query
+    # matching ignores its iou_floor, so the run's record holds null
+    floor = None if args.baseline_iou else _pick(args.similarity_floor, file_cfg,
+                                                 "similarity_floor", None)
     return tracker.TrackerConfig(
         empty_threshold=_pick(args.tau, file_cfg, "tau", 0.5, _TAU),
         death_patience=_pick(args.patience, file_cfg, "patience", 5, _patience),
         carry_forward=_pick(False if args.no_carry_forward else None, file_cfg,
                             "carry_forward", True),
-        similarity_floor=_pick(args.similarity_floor, file_cfg, "similarity_floor", None),
+        similarity_floor=floor,
     )
 
 

@@ -28,12 +28,24 @@ from .model import (
     RleMask,
     StreamHeader,
     box_iou,
+    mask_size_error,
     require_range,
     rle_decode,
 )
 
 DICE_EPS = 1.0
 PROB_CLAMP = 1e-7
+
+
+def _ce_table() -> np.ndarray:
+    """mask_ce_loss's per-pixel term for (target, pred) in {0,1}, at index 2*target + pred,
+    computed with its own formula so that each entry carries the same bits."""
+    target = np.array([0.0, 0.0, 1.0, 1.0])
+    p = np.clip(np.array([0.0, 1.0, 0.0, 1.0]), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return -(target * np.log(p) + (1.0 - target) * np.log(1.0 - p))
+
+
+_CE_TABLE = _ce_table()
 
 
 @dataclass(frozen=True)
@@ -127,13 +139,17 @@ def giou_loss(pred: BBox, gt: BBox) -> float:
     return 1.0 - giou
 
 
+def _class_index(label: str, classes: tuple[str, ...]) -> int:
+    if label not in classes:
+        raise UnknownClassError(f"label {label!r} not in classes {classes}")
+    return classes.index(label)
+
+
 def _label_prob(dist: ClassDistribution, label: str | None,
                 classes: tuple[str, ...]) -> float:
     if label is None:
         return dist.no_object_mass
-    if label not in classes:
-        raise UnknownClassError(f"label {label!r} not in classes {classes}")
-    return dist.probs[classes.index(label)]
+    return dist.probs[_class_index(label, classes)]
 
 
 def cls_ce_loss(dist: ClassDistribution, gt_label: str | None,
@@ -141,6 +157,56 @@ def cls_ce_loss(dist: ClassDistribution, gt_label: str | None,
     """-ln p(label); gt_label None means the residual no-object mass."""
     p = min(1.0, max(PROB_CLAMP, _label_prob(dist, gt_label, classes)))
     return -math.log(p)
+
+
+def _max(a, b):
+    """Python's max(a, b), elementwise: b only when b > a, so ties and NaN keep a."""
+    return np.where(b > a, b, a)
+
+
+def _min(a, b):
+    """Python's min(a, b), elementwise: b only when b < a."""
+    return np.where(b < a, b, a)
+
+
+def _corners(boxes) -> tuple[np.ndarray, np.ndarray]:
+    """(x1, y1) and (x2, y2) of each box, as two 2 x count arrays."""
+    corners = np.array([box.as_tuple() for box in boxes]).T
+    return corners[:2], corners[2:]
+
+
+def _match_costs(frame: FramePrediction, gt: GroundTruthFrame, w: LossWeights,
+                 header: StreamHeader) -> np.ndarray:
+    """The K x N matching costs, each bitwise equal to the scalar sum
+    match_w_cls * -p + match_w_l1 * l1_box_loss + match_w_giou * giou_loss.
+
+    Each elementwise step is the scalar formulas' operation, in their order,
+    over the x and y axes at once: _max/_min for Python's max/min, and where
+    for the branches.
+    """
+    if header.frame_height <= 0 or header.frame_width <= 0:
+        raise DimensionError(
+            f"frame dimensions must be positive, got {header.frame_height}x{header.frame_width}"
+        )
+    cols = [_class_index(obj.class_label, header.classes) for obj in gt.objects]
+    probs = [slot.classes.probs for slot in frame.slots]
+    prob = np.array([[p[col] for p in probs] for col in cols])
+    p_lo, p_hi = (c[:, None, :] for c in _corners(slot.box for slot in frame.slots))
+    g_lo, g_hi = (c[:, :, None] for c in _corners(obj.box for obj in gt.objects))
+    side = np.array([float(header.frame_width), float(header.frame_height)])[:, None, None]
+    with np.errstate(all="ignore"):  # overflow and inf - inf give inf and NaN, as in Python
+        p_wh, g_wh = p_hi - p_lo, g_hi - g_lo
+        center = abs(0.5 * (p_lo + p_hi) - 0.5 * (g_lo + g_hi)) / side
+        size = abs(p_wh - g_wh) / side
+        l1 = (((center[0] + center[1]) + size[0]) + size[1]) / 4.0
+        hull_wh = _max(p_hi, g_hi) - _min(p_lo, g_lo)
+        hull = hull_wh[0] * hull_wh[1]
+        inter_wh = _max(0.0, _min(p_hi, g_hi) - _max(p_lo, g_lo))
+        inter = inter_wh[0] * inter_wh[1]
+        union = p_wh[0] * p_wh[1] + g_wh[0] * g_wh[1] - inter
+        iou = np.where(union <= 0.0, 0.0, inter / union)
+        giou = np.where(hull <= 0.0, 1.0, 1.0 - (iou - (hull - union) / hull))
+        return (w.match_w_cls * -prob + w.match_w_l1 * l1) + w.match_w_giou * giou
 
 
 def detr_match(frame: FramePrediction, gt: GroundTruthFrame, w: LossWeights,
@@ -152,19 +218,34 @@ def detr_match(frame: FramePrediction, gt: GroundTruthFrame, w: LossWeights,
         raise CapacityError(f"{k} ground-truth objects but only {n} query slots")
     if k == 0:
         return assignment.Assignment(pairs=(), total_cost=0.0)
-    rows = []
-    for obj in gt.objects:
-        row = []
-        for slot in frame.slots:
-            cost = (
-                w.match_w_cls * -_label_prob(slot.classes, obj.class_label, header.classes)
-                + w.match_w_l1 * l1_box_loss(slot.box, obj.box,
-                                             header.frame_height, header.frame_width)
-                + w.match_w_giou * giou_loss(slot.box, obj.box)
-            )
-            row.append(cost)
-        rows.append(tuple(row))
-    return assignment.solve(assignment.CostMatrix(tuple(rows)))
+    return assignment.solve(assignment.CostMatrix(_match_costs(frame, gt, w, header).tolist()))
+
+
+def _mask_terms(pred: RleMask, gt: RleMask) -> tuple[float, float]:
+    """dice_loss and mask_ce_loss of a 0/1 prediction mask, bitwise, from the runs.
+
+    The two masks' run ends cut the frame into stretches of one (target, pred)
+    kind. Dice comes from exact pixel counts. For CE each stretch repeats its
+    _CE_TABLE entry, so numpy's pairwise mean sums the dense per-pixel values
+    in their order; it needs H*W floats.
+    """
+    problem = mask_size_error(pred, gt.height, gt.width)
+    if problem:
+        raise DimensionError(f"prediction {problem}")
+    pixels = gt.height * gt.width
+    if pixels > np.iinfo(np.intp).max // _CE_TABLE.itemsize:  # numpy could not size the array
+        raise MemoryError(f"mask cross-entropy needs {pixels} float64 values")
+    pred_ends, gt_ends = np.cumsum(pred.runs), np.cumsum(gt.runs)
+    ends = np.union1d(pred_ends, gt_ends)
+    starts = np.concatenate(([0], ends[:-1]))
+    lengths = ends - starts
+    kind = (2 * (np.searchsorted(gt_ends, starts, side="right") & 1)
+            + (np.searchsorted(pred_ends, starts, side="right") & 1))
+    inter = int(lengths[kind == 3].sum())
+    dice = 1.0 - (2.0 * float(inter) + DICE_EPS) / (
+        float(pred.area) + float(gt.area) + DICE_EPS)
+    ce = float(np.repeat(_CE_TABLE[kind], lengths).mean())
+    return dice, ce
 
 
 def conditional_mask_loss(frame: FramePrediction, gt: GroundTruthFrame,
@@ -182,9 +263,9 @@ def conditional_mask_loss(frame: FramePrediction, gt: GroundTruthFrame,
                 f"gt object {obj.gt_track_id} has a mask but matched query "
                 f"{query_index} does not"
             )
-        pred = rle_decode(slot.mask).astype(np.float64)
-        dice_term += w.w_dice * dice_loss(pred, obj.mask)
-        ce_term += w.w_mask * mask_ce_loss(pred, obj.mask)
+        dice, ce = _mask_terms(slot.mask, obj.mask)
+        dice_term += w.w_dice * dice
+        ce_term += w.w_mask * ce
     return dice_term, ce_term
 
 

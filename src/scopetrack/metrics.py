@@ -25,6 +25,7 @@ from .model import (
     VideoStream,
     box_iou,
     intervals_overlap,
+    mask_size_error,
     similarity,
 )
 from .tracker import TrackingOutput, assigned_slots
@@ -403,8 +404,9 @@ def _foreground(masks, shape: tuple[int, int]) -> list[list[int]]:
     """
     masks = [m for m in masks if m is not None]
     for m in masks:
-        if (m.height, m.width) != shape:
-            raise DimensionError(f"mask is {m.height}x{m.width}, frame is {shape[0]}x{shape[1]}")
+        problem = mask_size_error(m, *shape)
+        if problem:
+            raise DimensionError(problem)
     merged: list[list[int]] = []
     for start, end in sorted(chain.from_iterable(m.foreground_intervals() for m in masks)):
         if merged and start <= merged[-1][1]:

@@ -359,11 +359,19 @@ def frame_order(indices: Sequence[int]) -> Iterator[tuple[int, str]]:
             yield pos, f"frame_index {index} not strictly increasing (previous {indices[pos - 1]})"
 
 
+def mask_size_error(mask: RleMask, height: int, width: int) -> str:
+    """How the mask breaks the rule that a mask is the frame's size,
+    height x width; "" when it keeps it."""
+    if (mask.height, mask.width) == (height, width):
+        return ""
+    return f"mask is {mask.height}x{mask.width}, frame is {height}x{width}"
+
+
 def _check_mask(header: StreamHeader, mask: RleMask | None, where: str, out: list[str]) -> None:
-    """A mask is the frame's size."""
-    if mask is not None and (mask.height, mask.width) != (header.frame_height, header.frame_width):
-        out.append(f"{where}: mask is {mask.height}x{mask.width}, frame is "
-                   f"{header.frame_height}x{header.frame_width}")
+    if mask is not None:
+        problem = mask_size_error(mask, header.frame_height, header.frame_width)
+        if problem:
+            out.append(f"{where}: {problem}")
 
 
 def _check_slot(header: StreamHeader, where: str, slot: QuerySlot, out: list[str]) -> None:

@@ -3,7 +3,8 @@
 Each suite cross-checks a fast implementation against an independent
 reference: the assignment solver against exhaustive enumeration on small
 integers, on large integers and on floats, the mask codec against a round
-trip, and HOTA against closed-form tiny instances.
+trip, HOTA against closed-form tiny instances, and the array loss terms
+against the scalar and dense formulas, bit for bit.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ import math
 
 import numpy as np
 
-from . import assignment
+from . import assignment, losses
 from .metrics import TrackedDet, TrackedSequence, eval_hota
-from .model import BBox, rle_decode, rle_encode
+from .model import (BBox, ClassDistribution, FramePrediction, GroundTruthFrame,
+                    GroundTruthObject, QuerySlot, StreamHeader, rle_decode, rle_encode)
 
 
 # Entries whose exact sums float arithmetic rounds: signed zeros, subnormals,
@@ -63,6 +65,63 @@ def _check_rle(n_instances: int = 200) -> tuple[bool, str]:
     return True, f"{n_instances} random masks round-trip exactly"
 
 
+def _same_bits(got, want) -> bool:
+    """Equal float64 bit patterns, any two NaNs counting as equal."""
+    a, b = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return bool(np.all((a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))))
+
+
+def _check_mask_terms(n_instances: int = 200) -> tuple[bool, str]:
+    """Run-based dice and CE against the dense float64 formulas."""
+    rng = np.random.Generator(np.random.Philox(20240505))
+    for _ in range(n_instances):
+        h, w = (int(v) for v in rng.integers(1, 33, size=2))
+        pred, gt = (rle_encode(rng.random((h, w)) < rng.random()) for _ in range(2))
+        dense = rle_decode(pred).astype(np.float64)
+        got = losses._mask_terms(pred, gt)
+        want = (losses.dice_loss(dense, gt), losses.mask_ce_loss(dense, gt))
+        if not _same_bits(got, want):
+            return False, f"mismatch on {pred} and {gt}: {got} vs {want}"
+    return True, f"{n_instances} random mask pairs match the dense terms bit for bit"
+
+
+# Box coordinates that branch or round: signed zeros, shared edges, points
+# outside the 48x64 frame, and 1e300, whose products overflow.
+_COORDS = (0.0, -0.0, 1.0, 8.0, 16.0, -5.0, 70.0, 1e300, -1e300)
+
+
+def _check_match_costs(n_instances: int = 200) -> tuple[bool, str]:
+    """The K x N matching-cost array against the scalar terms, cell by cell."""
+    rng = np.random.Generator(np.random.Philox(20240506))
+    classes = ("AD", "HP")
+    header = StreamHeader(n_queries=6, embed_dim=1, frame_height=48, frame_width=64,
+                          classes=classes)
+    w = losses.LossWeights()
+
+    def box() -> BBox:
+        coords = np.where(rng.random(4) < 0.5, rng.choice(_COORDS, 4), rng.uniform(-80, 80, 4))
+        (x1, x2), (y1, y2) = sorted(coords[::2].tolist()), sorted(coords[1::2].tolist())
+        return BBox(x1, y1, x2, y2)
+
+    for _ in range(n_instances):
+        n = int(rng.integers(1, 7))
+        frame = FramePrediction(0, tuple(
+            QuerySlot((0.0,), box(), ClassDistribution(tuple(rng.dirichlet((1, 1, 1))[:2])))
+            for _ in range(n)))
+        gt = GroundTruthFrame(0, tuple(
+            GroundTruthObject(i, box(), classes[int(rng.integers(0, 2))])
+            for i in range(int(rng.integers(1, n + 1)))))
+        got = losses._match_costs(frame, gt, w, header)
+        want = [[w.match_w_cls * -losses._label_prob(slot.classes, obj.class_label, classes)
+                 + w.match_w_l1 * losses.l1_box_loss(slot.box, obj.box, header.frame_height,
+                                                     header.frame_width)
+                 + w.match_w_giou * losses.giou_loss(slot.box, obj.box)
+                 for slot in frame.slots] for obj in gt.objects]
+        if not _same_bits(got, want):
+            return False, f"mismatch on {frame} and {gt}: {got.tolist()} vs {want}"
+    return True, f"{n_instances} random frames match the scalar costs bit for bit"
+
+
 def _track(frames: list[list[tuple[int, tuple[float, float, float, float]]]]) -> TrackedSequence:
     return TrackedSequence(
         frame_indices=tuple(range(len(frames))),
@@ -95,4 +154,6 @@ def run_selfcheck() -> list[tuple[str, bool, str]]:
         ("assignment-floats", *_check_assignment("floats", 20240504)),
         ("rle-round-trip", *_check_rle()),
         ("hota-tiny-oracle", *_check_hota()),
+        ("loss-mask-terms", *_check_mask_terms()),
+        ("loss-match-costs", *_check_match_costs()),
     ]

@@ -64,6 +64,18 @@ class TestTrack:
         assert "--baseline-iou" in err and flags[-2] in err
         assert not out_path.exists()
 
+    def test_baseline_ignores_config_similarity_floor(self, tmp_path, capsys):
+        _, pred_path = synth_files(tmp_path, "static")
+        (tmp_path / "cfg.json").write_text('{"similarity_floor": 0.99}')
+        plain, configured = tmp_path / "plain.jsonl", tmp_path / "configured.jsonl"
+        assert run(["track", "--in", str(pred_path), "--out", str(plain),
+                    "--baseline-iou"]) == 0
+        assert run(["--config", str(tmp_path / "cfg.json"), "track", "--in", str(pred_path),
+                    "--out", str(configured), "--baseline-iou"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert json.loads(lines[1])["config"]["similarity_floor"] is None
+        assert configured.read_bytes() == plain.read_bytes()
+
     def test_deterministic_output_bytes(self, tmp_path, capsys):
         _, pred_path = synth_files(tmp_path)
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -198,9 +210,11 @@ class TestGlobalFlags:
     def test_selfcheck_passes(self, capsys):
         assert run(["selfcheck"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 7
         assert "PASS assignment-floats" in out
         assert "PASS assignment-large-integers" in out
+        assert "PASS loss-mask-terms" in out
+        assert "PASS loss-match-costs" in out
 
 
 class TestErrorPaths:
@@ -559,4 +573,12 @@ class TestHugeFrames:
                            tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: out of memory")
+
+    @pytest.mark.parametrize("size", [3 * 10**9, 10**10], ids=["int64_pixels", "wider"])
+    def test_mask_beyond_address_space_is_out_of_memory(self, tmp_path, size):
+        # 9e18 pixels fit an int64 but not as float64 bytes; 1e20 fit neither
+        mask = {"h": size, "w": size, "runs": [size * size - 100, 100]}
+        proc = _capped_run(["loss-check"] + _one_frame_files(tmp_path, size, mask), tmp_path)
+        assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: out of memory")

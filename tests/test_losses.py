@@ -1,19 +1,28 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from scopetrack import assignment, losses, synth
 from scopetrack.errors import (
     DataError,
     CapacityError,
     DimensionError,
     MissingPredictionMaskError,
+    UnknownClassError,
 )
 from scopetrack.losses import (
     LossWeights,
+    _label_prob,
+    _mask_terms,
+    _match_costs,
     cls_ce_loss,
     conditional_mask_loss,
     detr_match,
@@ -30,7 +39,9 @@ from scopetrack.model import (
     GroundTruthFrame,
     GroundTruthObject,
     QuerySlot,
+    RleMask,
     StreamHeader,
+    rle_decode,
     rle_encode,
 )
 
@@ -270,6 +281,16 @@ class TestConditionalMaskLoss:
         dice_term, _ = conditional_mask_loss(frame, gt, match, w)
         assert dice_term == pytest.approx(w.w_dice * 0.4, abs=1e-9)
 
+    def test_mask_sizes_differ(self):
+        header = make_header(1, h=2, w=3)
+        gt_mask = rle_encode(np.ones((2, 3), dtype=np.uint8))
+        pred_mask = rle_encode(np.ones((3, 2), dtype=np.uint8))
+        frame = FramePrediction(0, (make_slot((0, 0, 2, 1), (0.9, 0.0), mask=pred_mask),))
+        gt = gt_frame([GroundTruthObject(0, BBox(0, 0, 2, 1), "AD", mask=gt_mask)])
+        w = LossWeights()
+        with pytest.raises(DimensionError, match="mask is 3x2, frame is 2x3"):
+            conditional_mask_loss(frame, gt, detr_match(frame, gt, w, header), w)
+
     def test_missing_prediction_mask(self):
         header = make_header(1, h=2, w=2)
         mask = rle_encode(np.ones((2, 2), dtype=np.uint8))
@@ -341,6 +362,168 @@ class TestTotalLoss:
             assert plain.cls == masked.cls
             assert plain.bbox_l1 == masked.bbox_l1
             assert plain.bbox_giou == masked.bbox_giou
+
+
+def same_bits(a: float, b: float) -> bool:
+    """a and b are one float64 bit pattern, or both NaN."""
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def runs_mask(h: int, w: int, cuts, leading_foreground: bool) -> RleMask:
+    """The mask whose runs end at the sorted cut points, background first
+    unless leading_foreground puts a zero-length run in front."""
+    bounds = [0, *cuts, h * w]
+    runs = [end - start for start, end in zip(bounds, bounds[1:])]
+    return RleMask(h, w, [0, *runs] if leading_foreground else runs)
+
+
+@st.composite
+def mask_pairs(draw):
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    cuts = st.sets(st.integers(1, h * w - 1), max_size=12) if h * w > 1 else st.just(set())
+    return tuple(runs_mask(h, w, sorted(draw(cuts)), draw(st.booleans())) for _ in range(2))
+
+
+class TestMaskTermsBitwise:
+    """The run-based mask terms against the dense reference, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mask_pairs())
+    @example((runs_mask(4, 5, [], False), runs_mask(4, 5, [], True)))  # empty vs full
+    @example((runs_mask(4, 5, [], True), runs_mask(4, 5, [], True)))  # full vs full
+    @example((runs_mask(4, 5, [], False), runs_mask(4, 5, [], False)))  # empty vs empty
+    @example((runs_mask(3, 3, [4], True), runs_mask(3, 3, [2, 7], True)))  # leading zero runs
+    @example((runs_mask(1, 1, [], True), runs_mask(1, 1, [], False)))  # 1x1
+    @example((runs_mask(1, 9, [2, 5], False), runs_mask(1, 9, [1, 8], True)))  # 1xW
+    def test_equals_dense_reference(self, pair):
+        pred, gt = pair
+        dense = rle_decode(pred).astype(np.float64)
+        dice, ce = _mask_terms(pred, gt)
+        assert same_bits(dice, dice_loss(dense, gt))
+        assert same_bits(ce, mask_ce_loss(dense, gt))
+
+    def test_synth_sized_masks(self):
+        # 256x256 grids: numpy's pairwise sum recurses many levels deep
+        rng = np.random.Generator(np.random.Philox(11))
+        for _ in range(20):
+            cuts = [sorted(set(rng.integers(1, 256 * 256, size=int(rng.integers(0, 200))).tolist()))
+                    for _ in range(2)]
+            pred, gt = (runs_mask(256, 256, c, bool(rng.integers(0, 2))) for c in cuts)
+            dense = rle_decode(pred).astype(np.float64)
+            dice, ce = _mask_terms(pred, gt)
+            assert same_bits(dice, dice_loss(dense, gt))
+            assert same_bits(ce, mask_ce_loss(dense, gt))
+
+
+# Coordinates that make the scalar formulas branch or round: signed zeros,
+# shared edges, points outside a 64x48 frame, and 1e300, whose products overflow.
+_COORDS = st.sampled_from([0.0, -0.0, 1.0, 8.0, 16.0, -5.0, 70.0, 1e300, -1e300]) | st.floats(
+    -100.0, 100.0, allow_nan=False)
+
+
+@st.composite
+def boxes(draw):
+    x1, x2 = sorted((draw(_COORDS), draw(_COORDS)))
+    y1, y2 = sorted((draw(_COORDS), draw(_COORDS)))
+    return BBox(x1, y1, x2, y2)
+
+
+@st.composite
+def match_instances(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    slots = []
+    for _ in range(n):
+        p = draw(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0))
+        slots.append(make_slot(draw(boxes()).as_tuple(), (p, draw(st.floats(0.0, 1.0 - p)))))
+    objects = [GroundTruthObject(i, draw(boxes()), draw(st.sampled_from(CLASSES)))
+               for i in range(k)]
+    weight = st.sampled_from([0, 1, 2.0, 5.0]) | st.floats(0.0, 10.0)
+    w = LossWeights(match_w_cls=draw(weight), match_w_l1=draw(weight), match_w_giou=draw(weight))
+    header = make_header(n, h=draw(st.sampled_from([1, 48, 64])), w=draw(st.sampled_from([1, 64])))
+    return FramePrediction(0, tuple(slots)), gt_frame(objects), w, header
+
+
+def scalar_costs(frame, gt, w, header) -> list[list[float]]:
+    """The K x N matching costs, one scalar formula per cell."""
+    return [[w.match_w_cls * -_label_prob(slot.classes, obj.class_label, header.classes)
+             + w.match_w_l1 * l1_box_loss(slot.box, obj.box, header.frame_height,
+                                          header.frame_width)
+             + w.match_w_giou * giou_loss(slot.box, obj.box)
+             for slot in frame.slots] for obj in gt.objects]
+
+
+class TestMatchCostsBitwise:
+    """The K x N cost array against the scalar terms, cell by cell."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(match_instances())
+    def test_equals_scalar_costs(self, instance):
+        frame, gt, w, header = instance
+        costs = _match_costs(frame, gt, w, header)
+        assert costs.shape == (len(gt.objects), len(frame.slots))
+        for got_row, want_row in zip(costs.tolist(), scalar_costs(frame, gt, w, header)):
+            for got, want in zip(got_row, want_row):
+                assert same_bits(got, want), (frame, gt, got, want)
+
+    def test_unknown_class(self):
+        frame, gt = random_instance(np.random.default_rng(3), 1, 2)
+        gt = gt_frame([dataclasses.replace(gt.objects[0], class_label="carcinoid")])
+        with pytest.raises(UnknownClassError, match="carcinoid"):
+            detr_match(frame, gt, LossWeights(), make_header(2))
+
+
+def dense_detr_match(frame, gt, w, header):
+    """detr_match with the scalar cost terms."""
+    if not gt.objects:
+        return assignment.Assignment(pairs=(), total_cost=0.0)
+    return assignment.solve(assignment.CostMatrix(scalar_costs(frame, gt, w, header)))
+
+
+def dense_conditional_mask_loss(frame, gt, match, w):
+    """conditional_mask_loss with each prediction decoded to a float64 grid."""
+    dice_term = ce_term = 0.0
+    for g, q in match.pairs:
+        if gt.objects[g].mask is not None:
+            pred = rle_decode(frame.slots[q].mask).astype(np.float64)
+            dice_term += w.w_dice * dice_loss(pred, gt.objects[g].mask)
+            ce_term += w.w_mask * mask_ce_loss(pred, gt.objects[g].mask)
+    return dice_term, ce_term
+
+
+def _moved(mask: RleMask, t: int) -> RleMask:
+    """The mask rolled by a frame-dependent offset, or with its lower rows cut away."""
+    grid = rle_decode(mask)
+    if t % 3 == 2:
+        grid[mask.height // 2 - 8 * (t % 4):] = 0
+        return rle_encode(grid)
+    return rle_encode(np.roll(grid, (t % 7 - 3, 2 * (t % 5) - 4), axis=(0, 1)))
+
+
+class TestPartialOverlapReference:
+    """total_loss against the dense reference where prediction masks miss the
+    ground truth in part, which the synth streams alone never do."""
+
+    @pytest.mark.parametrize("scenario", ["drift", "large_motion"])
+    def test_total_loss_equals_dense(self, scenario, monkeypatch):
+        cfg = dataclasses.replace(synth.scenario_config(scenario, 3), n_frames=24,
+                                  with_masks=True)
+        gts, preds = synth.generate(cfg)
+        w = LossWeights(w_mask=3.0, w_dice=4.0)
+        frames = [
+            FramePrediction(f.frame_index, tuple(
+                dataclasses.replace(s, mask=None if s.mask is None else _moved(s.mask, f.frame_index))
+                for s in f.slots))
+            for f in preds.frames
+        ]
+        got = [total_loss(f, g, w, preds.header) for f, g in zip(frames, gts.frames)]
+        monkeypatch.setattr(losses, "detr_match", dense_detr_match)
+        monkeypatch.setattr(losses, "conditional_mask_loss", dense_conditional_mask_loss)
+        want = [total_loss(f, g, w, preds.header) for f, g in zip(frames, gts.frames)]
+        assert sum(0.0 < b.cond_mask_dice for b in got) >= len(got) // 2
+        for a, b in zip(got, want):
+            for field in dataclasses.fields(a):
+                assert same_bits(getattr(a, field.name), getattr(b, field.name)), field.name
 
 
 class TestLossWeights:
