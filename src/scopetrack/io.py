@@ -3,18 +3,22 @@
 Line 1 of every stream file is the header object; every later line is one
 frame. Floats go through json's repr serialization, which round-trips
 exactly. Each model type checks its fields as it is built, so readers only
-decode and call constructors. The stream and ground-truth readers also
-check the model's invariants (validate_stream, validate_ground_truth); a
-file that breaks them raises StreamFormatError naming the path and the
-first three violations.
+decode and call constructors. Readers decode one line at a time and build
+each record as its line arrives, so memory follows the objects kept, not
+the file text, and of the lines that fail to decode or build, the first in
+file order is the one reported. The checks that span lines run after the
+last line: the stream and ground-truth readers check the model's
+invariants (validate_stream, validate_ground_truth), and a file that breaks
+them raises StreamFormatError naming the path and the first three
+violations.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import DataError, StreamFormatError
 from .metrics import TrackedDet, TrackedSequence
@@ -41,34 +45,62 @@ from .tracker import FrameAssignments, TrackingOutput, TrackSummary, track_obser
 _HEADER_KEYS = ("n_queries", "embed_dim", "frame_height", "frame_width", "classes")
 
 
-def _load(path: str | Path, whole: bool = False) -> list[tuple[int, Any]]:
-    """The (line number, decoded object) pairs of the non-blank lines, or
-    with whole, of the entire text as line 1: the decoder of every input file."""
+def _exists(path: str | Path) -> Path:
     p = Path(path)
     if not p.exists():
         raise StreamFormatError(f"file not found: {p}")
+    return p
+
+
+def _decode(p: Path, lineno: int, raw: str) -> Any:
+    """json.loads(raw); a failure names p:lineno."""
     try:
-        text = p.read_text()
-    except UnicodeDecodeError as exc:
-        raise StreamFormatError(f"{p}: not UTF-8 text: {exc}") from exc
-    out = []
-    for lineno, raw in [(1, text)] if whole else enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            out.append((lineno, json.loads(raw)))
-        except RecursionError as exc:
-            raise StreamFormatError(f"{p}:{lineno}: invalid JSON: nested too deeply") from exc
-        except ValueError as exc:  # malformed, or an integer literal too long to convert
-            raise StreamFormatError(f"{p}:{lineno}: invalid JSON: {exc}") from exc
-    if not out:
+        return json.loads(raw)
+    except RecursionError as exc:
+        raise StreamFormatError(f"{p}:{lineno}: invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # malformed, or an integer literal too long to convert
+        raise StreamFormatError(f"{p}:{lineno}: invalid JSON: {exc}") from exc
+
+
+def _load(path: str | Path) -> Iterator[tuple[int, Any]]:
+    """The (line number, decoded object) pairs of the non-blank lines, read
+    and decoded one line at a time: the decoder of every line-based input file.
+
+    The lines are those of str.splitlines() over the whole UTF-8 text. A
+    physical line ends at b"\n", which no other UTF-8 character contains, so
+    splitting each one with splitlines() numbers every line as the whole text
+    would, whatever other line boundaries it holds.
+    """
+    p = _exists(path)
+    lineno = 0
+    empty = True
+    with p.open("rb") as f:
+        for physical in f:
+            try:
+                text = physical.decode()
+            except UnicodeDecodeError as exc:
+                # the boundaries before the bad byte, as splitlines() counts them
+                bad = lineno + len((physical[:exc.start].decode() + "x").splitlines())
+                raise StreamFormatError(f"{p}:{bad}: not UTF-8 text: {exc}") from exc
+            for raw in text.splitlines():
+                lineno += 1
+                if raw.strip():
+                    empty = False
+                    yield lineno, _decode(p, lineno, raw)
+    if empty:
         raise StreamFormatError(f"{p}: empty file")
-    return out
 
 
 def load_json_object(path: str | Path) -> dict:
     """The JSON object a whole file holds, as --config and --weights files do."""
-    [(_, obj)] = _load(path, whole=True)
+    p = _exists(path)
+    try:
+        text = p.read_bytes().decode()
+    except UnicodeDecodeError as exc:
+        raise StreamFormatError(f"{p}: not UTF-8 text: {exc}") from exc
+    if not text.strip():
+        raise StreamFormatError(f"{p}: empty file")
+    obj = _decode(p, 1, text)
     if not isinstance(obj, dict):
         raise StreamFormatError(f"{path}: not a JSON object")
     return obj
@@ -80,21 +112,25 @@ def _write_lines(path: str | Path, objs: Iterable[Any]) -> None:
     Path(path).write_text(text)
 
 
-def _parse_records(path: str | Path, lines: list[tuple[int, Any]], what: str,
-                   parse: Callable[[Any], Any]) -> list:
-    """parse() each decoded line; every failure names path:line.
+def _parse_record(path: str | Path, lineno: int, obj: Any, what: str,
+                  parse: Callable[[Any], Any]) -> Any:
+    """parse(obj); a failure names path:lineno.
 
     Model invariant violations keep their DataError subclass.
     """
-    out = []
     try:
-        for lineno, obj in lines:
-            out.append(parse(obj))
+        return parse(obj)
     except DataError as exc:
         raise type(exc)(f"{path}:{lineno}: {exc}") from exc
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise StreamFormatError(f"{path}:{lineno}: malformed {what}: {exc!r}") from exc
-    return out
+
+
+def _parse_records(path: str | Path, lines: Iterable[tuple[int, Any]], what: str,
+                   parse: Callable[[Any], Any]) -> list:
+    """parse() each decoded line as it arrives. The decoder's own errors pass
+    through as they are, so the first error in file order is the one raised."""
+    return [_parse_record(path, lineno, obj, what, parse) for lineno, obj in lines]
 
 
 def _int(obj: Any, key: str) -> int:
@@ -140,8 +176,8 @@ def _read_frames(path: str | Path, what: str, parse_frame: Callable[[Any], Any],
                  container: type, validate: Callable[[Any], list[str]]):
     """A header line, then one parse_frame record per line, checked by validate."""
     lines = _load(path)
-    header = _parse_records(path, lines[:1], "stream header", _header_from)[0]
-    frames = _parse_records(path, lines[1:], what, parse_frame)
+    [header] = _parse_records(path, islice(lines, 1), "stream header", _header_from)
+    frames = _parse_records(path, lines, what, parse_frame)
     stream = container(header=header, frames=tuple(frames))
     violations = validate(stream)
     if violations:
@@ -293,7 +329,7 @@ def _parse_track_table(tail: Any, frames: tuple[FrameAssignments, ...]
         TrackSummary(track_id, observations, require_floats(row["mean_probs"], "mean_probs"))
         for (track_id, observations), row in zip(observed.items(), rows)
     )
-    if len(rows) != len(observed) or [_track_row(t) for t in tracks] != rows:
+    if len(rows) != len(observed) or any(_track_row(t) != row for t, row in zip(tracks, rows)):
         raise StreamFormatError("track table disagrees with the assignment lines")
     return tracks, dict(sorted(tail.get("config", {}).items()))
 
@@ -307,15 +343,19 @@ def read_tracking(path: str | Path) -> tuple[TrackingOutput, TrackedSequence]:
     was written from.
     """
     lines = _load(path)
-    tail = lines[-1][1]
+    lineno, tail = next(lines)
+    linenos, parsed = [], []
+    for pair in lines:  # one line of lookahead: only the last line is the track table
+        parsed.append(_parse_record(path, lineno, tail, "tracks record", _parse_tracked_frame))
+        linenos.append(lineno)
+        lineno, tail = pair
     if not (isinstance(tail, dict) and "track_table" in tail):
         raise StreamFormatError(f"{path}: missing trailing track-table line")
-    parsed = _parse_records(path, lines[:-1], "tracks record", _parse_tracked_frame)
     frames = tuple(fa for fa, _ in parsed)
     for pos, reason in frame_order([fa.frame_index for fa in frames]):
-        raise StreamFormatError(f"{path}:{lines[pos][0]}: {reason}")
-    tracks, config = _parse_records(path, lines[-1:], "track table",
-                                    lambda obj: _parse_track_table(obj, frames))[0]
+        raise StreamFormatError(f"{path}:{linenos[pos]}: {reason}")
+    tracks, config = _parse_record(path, lineno, tail, "track table",
+                                   lambda obj: _parse_track_table(obj, frames))
     output = TrackingOutput(frames=frames, tracks=tracks, config=config)
     sequence = TrackedSequence(
         frame_indices=tuple(fa.frame_index for fa in frames),

@@ -79,7 +79,11 @@ def require_range(value, name: str, low: float, high: float,
     if not (above and below):
         interval = f"{'(' if open_low else '['}{low:g}, {high:g}{')' if open_high else ']'}"
         raise DataError(f"{name} must be in {interval}, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond float range
+        raise DataError(f"{name} must be within float range, "
+                        f"got an integer of {len(str(abs(value)))} digits") from None
 
 
 @dataclass(frozen=True)

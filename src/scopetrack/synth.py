@@ -104,11 +104,11 @@ def _object_plane(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.nd
 
 
 def _rect_mask(box: BBox, height: int, width: int) -> RleMask:
+    """The pixels whose row and column lie between the box's rounded corners."""
     grid = np.zeros((height, width), dtype=np.uint8)
-    x1 = max(0, int(round(box.x1)))
-    y1 = max(0, int(round(box.y1)))
-    x2 = min(width, int(round(box.x2)))
-    y2 = min(height, int(round(box.y2)))
+    # both corners clamped to the frame, so no slice index wraps
+    x1, x2 = (min(max(0, int(round(x))), width) for x in (box.x1, box.x2))
+    y1, y2 = (min(max(0, int(round(y))), height) for y in (box.y1, box.y2))
     grid[y1:y2, x1:x2] = 1
     return rle_encode(grid)
 

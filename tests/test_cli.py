@@ -278,6 +278,54 @@ class TestErrorPaths:
                 f"frame {first + 1}") in capsys.readouterr().err
 
 
+class TestNumbersBeyondFloatRange:
+    """An integer literal too large for a float is a data error naming its key."""
+
+    def test_weight(self, tmp_path, capsys):
+        gt_path, pred_path = synth_files(tmp_path, scenario="static")
+        (tmp_path / "w.json").write_text('{"match_w_cls": 1' + "0" * 400 + "}")
+        code = run(["loss-check", "--pred", str(pred_path), "--gt", str(gt_path),
+                    "--weights", str(tmp_path / "w.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "match_w_cls" in err
+
+    def test_config_similarity_floor(self, tmp_path, capsys):
+        _, pred_path = synth_files(tmp_path, scenario="static")
+        (tmp_path / "c.json").write_text('{"similarity_floor": 1' + "0" * 400 + "}")
+        code = run(["--config", str(tmp_path / "c.json"), "track", "--in", str(pred_path),
+                    "--out", str(tmp_path / "t.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "similarity_floor" in err
+        assert not (tmp_path / "t.jsonl").exists()
+
+
+class TestFirstErrorInFileOrder:
+    def test_bad_record_before_invalid_json(self, tmp_path, capsys):
+        """A bad record on line 5 is reported before invalid JSON on line 10."""
+        _, pred_path = synth_files(tmp_path, scenario="static")
+        lines = pred_path.read_text().splitlines()
+        frame = json.loads(lines[4])
+        frame["slots"][0]["box"] = [0.0, 0.0, 1.0]
+        lines[4] = json.dumps(frame)
+        lines[9] = "{not json"
+        pred_path.write_text("\n".join(lines) + "\n")
+        code = run(["track", "--in", str(pred_path), "--out", str(tmp_path / "t.jsonl")])
+        assert code == 2
+        assert f"{pred_path}:5:" in capsys.readouterr().err
+
+    def test_invalid_json_on_line_two_has_one_prefix(self, tmp_path, capsys):
+        _, pred_path = synth_files(tmp_path, scenario="static")
+        lines = pred_path.read_text().splitlines()
+        lines[1] = "{not json"
+        pred_path.write_text("\n".join(lines) + "\n")
+        code = run(["track", "--in", str(pred_path), "--out", str(tmp_path / "t.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count(f"{pred_path}:") == 1 and f"{pred_path}:2: invalid JSON" in err
+
+
 def _rewrite_line(path, lineno, edit):
     lines = path.read_text().splitlines()
     obj = json.loads(lines[lineno - 1])

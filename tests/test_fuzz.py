@@ -52,7 +52,7 @@ def _valid_inputs() -> dict[str, list]:
 _VALID = _valid_inputs()
 
 _REPLACEMENTS = st.sampled_from([
-    None, True, False, "", "x", "0", 0, 1, -1, -7, 0.5, 2.9, 1e300, 10**30,
+    None, True, False, "", "x", "0", 0, 1, -1, -7, 0.5, 2.9, 1e300, 10**30, 10**400,
     float("nan"), float("inf"), float("-inf"), [], {}, [1, 2], {"a": 1}, *_DEEP,
 ])
 

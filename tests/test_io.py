@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+import gc
 import json
+import re
+import tempfile
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scopetrack import io
 from scopetrack.errors import DimensionError, FrameAlignmentError, StreamFormatError
 from scopetrack.metrics import TrackedSequence
 from scopetrack.model import BBox, VideoStream
-from scopetrack.synth import generate, scenario_config
+from scopetrack.synth import SynthConfig, generate, scenario_config
 from scopetrack.tracker import track_video
 
 
@@ -200,3 +207,81 @@ class TestNumbers:
         path = tmp_path / "pred.jsonl"
         io.write_stream(stream, path)
         assert io.read_stream(path) == stream
+
+
+# Every line boundary str.splitlines() knows, and line contents: blank, or one JSON value.
+_SEPARATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+_CONTENTS = ["", " ", "\t", "1", '"\u00e9"', '"\\u2028"', "[2, 3.5]", '{"a": null}']
+
+
+class TestLineDecoder:
+    """io._load reads one physical line at a time, yet numbers lines as
+    str.splitlines() does over the whole text."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pieces=st.lists(st.tuples(st.sampled_from(_CONTENTS), st.sampled_from(_SEPARATORS)),
+                           max_size=20),
+           last=st.sampled_from(_CONTENTS))
+    def test_lines_are_those_of_splitlines(self, pieces, last):
+        text = "".join(content + sep for content, sep in pieces) + last
+        want = [(lineno, json.loads(line))
+                for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "lines.jsonl"
+            path.write_bytes(text.encode())
+            if want:
+                assert list(io._load(path)) == want
+            else:
+                with pytest.raises(StreamFormatError, match="empty file"):
+                    list(io._load(path))
+
+    def test_invalid_utf8_on_a_late_line_names_it(self, tmp_path, bundle):
+        _, pred = bundle
+        path = tmp_path / "pred.jsonl"
+        io.write_stream(pred, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        late = len(lines) - 2
+        lines[late] = b'"\xff"\n'
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(StreamFormatError,
+                           match=f"^{re.escape(str(path))}:{late + 1}: not UTF-8"):
+            io.read_stream(path)
+
+    def test_invalid_utf8_after_other_line_boundaries(self, tmp_path):
+        path = tmp_path / "lines.jsonl"
+        path.write_bytes(b'1\n2\r3\x0b\xff\n')
+        with pytest.raises(StreamFormatError, match=f"^{re.escape(str(path))}:4: not UTF-8"):
+            list(io._load(path))
+
+
+@pytest.fixture(scope="module")
+def long_files(tmp_path_factory):
+    """A 400-frame stream with masks, its ground truth and its tracks file."""
+    gt, pred = generate(SynthConfig(n_objects=6, n_frames=400, n_queries=8, embed_dim=32,
+                                    frame_height=64, frame_width=64, with_masks=True,
+                                    seed=2))
+    d = tmp_path_factory.mktemp("long")
+    io.write_stream(pred, d / "pred.jsonl")
+    io.write_ground_truth(gt, d / "gt.jsonl")
+    io.write_tracking(track_video(pred), pred, d / "tracks.jsonl")
+    return d
+
+
+@pytest.mark.parametrize("reader, name", [
+    (io.read_stream, "pred.jsonl"),
+    (io.read_ground_truth, "gt.jsonl"),
+    (io.read_tracking, "tracks.jsonl"),
+], ids=["read_stream", "read_ground_truth", "read_tracking"])
+def test_reader_holds_one_line_at_a_time(long_files, reader, name):
+    """Beyond the objects it returns, a reader's traced peak stays under 1 MiB:
+    it never holds the file text or all the decoded lines at once."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = reader(long_files / name)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result
+    assert peak - retained < 1 << 20, (peak, retained)

@@ -3,13 +3,16 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scopetrack.errors import CapacityError, DataError
 from scopetrack.metrics import TrackedSequence, evaluate_tracking
-from scopetrack.model import box_iou, validate_ground_truth, validate_stream
+from scopetrack.model import BBox, box_iou, rle_decode, validate_ground_truth, validate_stream
 from scopetrack.synth import (
     SCENARIO_NAMES,
     SynthConfig,
+    _rect_mask,
     generate,
     scenario_config,
     scenario_suite,
@@ -118,3 +121,29 @@ class TestScenarios:
             state, out = step(state, frame)
             outs.append(out)
         assert tuple(outs) == folded.frames
+
+
+def _reference_rect(box: BBox, height: int, width: int) -> list[list[int]]:
+    """The mask of a box, one pixel at a time: a pixel is set when its row and
+    column lie between the box's rounded corners."""
+    x1, y1, x2, y2 = (int(round(v)) for v in box.as_tuple())
+    return [[int(y1 <= row < y2 and x1 <= col < x2) for col in range(width)]
+            for row in range(height)]
+
+
+class TestRectMask:
+    @settings(max_examples=300, deadline=None)
+    @given(height=st.integers(1, 12), width=st.integers(1, 12), data=st.data())
+    def test_matches_pixel_loop(self, height, width, data):
+        """Boxes inside, across and fully outside the frame, on every side."""
+        def span(side):
+            coord = st.floats(-2.0 * side, 3.0 * side, allow_nan=False)
+            return sorted(data.draw(st.tuples(coord, coord)))
+        (x1, x2), (y1, y2) = span(width), span(height)
+        box = BBox(x1, y1, x2, y2)
+        mask = _rect_mask(box, height, width)
+        assert rle_decode(mask).tolist() == _reference_rect(box, height, width)
+
+    def test_box_left_of_and_above_the_frame_is_empty(self):
+        mask = _rect_mask(BBox(-9.0, -9.0, -3.0, -3.0), 8, 8)
+        assert mask.area == 0
