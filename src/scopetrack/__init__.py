@@ -33,7 +33,7 @@ from .model import (
     validate_stream,
 )
 from .report import ExamReport, PolypReportEntry, generate_report, render_report
-from .synth import ScenarioBundle, SynthConfig, generate, scenario_suite
+from .synth import SynthConfig, generate
 from .tracker import (
     TrackerConfig,
     TrackingOutput,

@@ -28,24 +28,15 @@ from .model import (
     RleMask,
     StreamHeader,
     box_iou,
+    box_overlaps,
     mask_size_error,
     require_range,
     rle_decode,
+    rle_encode,
 )
 
 DICE_EPS = 1.0
 PROB_CLAMP = 1e-7
-
-
-def _ce_table() -> np.ndarray:
-    """mask_ce_loss's per-pixel term for (target, pred) in {0,1}, at index 2*target + pred,
-    computed with its own formula so that each entry carries the same bits."""
-    target = np.array([0.0, 0.0, 1.0, 1.0])
-    p = np.clip(np.array([0.0, 1.0, 0.0, 1.0]), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return -(target * np.log(p) + (1.0 - target) * np.log(1.0 - p))
-
-
-_CE_TABLE = _ce_table()
 
 
 @dataclass(frozen=True)
@@ -100,6 +91,11 @@ def mask_ce_loss(pred_probs: np.ndarray, gt: RleMask) -> float:
     p = np.clip(pred, PROB_CLAMP, 1.0 - PROB_CLAMP)
     ce = -(target * np.log(p) + (1.0 - target) * np.log(1.0 - p))
     return float(ce.mean())
+
+
+# mask_ce_loss's per-pixel term for (target, pred) in {0,1}, at index 2*target + pred
+_CE_TABLE = np.array([mask_ce_loss(np.array([[float(pred)]]), rle_encode([[target]]))
+                      for target in (0, 1) for pred in (0, 1)])
 
 
 def _to_cxcywh(box: BBox) -> tuple[float, float, float, float]:
@@ -159,30 +155,15 @@ def cls_ce_loss(dist: ClassDistribution, gt_label: str | None,
     return -math.log(p)
 
 
-def _max(a, b):
-    """Python's max(a, b), elementwise: b only when b > a, so ties and NaN keep a."""
-    return np.where(b > a, b, a)
-
-
-def _min(a, b):
-    """Python's min(a, b), elementwise: b only when b < a."""
-    return np.where(b < a, b, a)
-
-
-def _corners(boxes) -> tuple[np.ndarray, np.ndarray]:
-    """(x1, y1) and (x2, y2) of each box, as two 2 x count arrays."""
-    corners = np.array([box.as_tuple() for box in boxes]).T
-    return corners[:2], corners[2:]
-
-
 def _match_costs(frame: FramePrediction, gt: GroundTruthFrame, w: LossWeights,
                  header: StreamHeader) -> np.ndarray:
     """The K x N matching costs, each bitwise equal to the scalar sum
     match_w_cls * -p + match_w_l1 * l1_box_loss + match_w_giou * giou_loss.
 
-    Each elementwise step is the scalar formulas' operation, in their order,
-    over the x and y axes at once: _max/_min for Python's max/min, and where
-    for the branches.
+    IoU and union come from model.box_overlaps. Each other elementwise step
+    is the scalar formulas' operation, in their order, over the x and y axes
+    at once, with where for the branches; the hull takes np.maximum/np.minimum
+    for Python's max/min, which box_overlaps shows is safe.
     """
     if header.frame_height <= 0 or header.frame_width <= 0:
         raise DimensionError(
@@ -191,20 +172,16 @@ def _match_costs(frame: FramePrediction, gt: GroundTruthFrame, w: LossWeights,
     cols = [_class_index(obj.class_label, header.classes) for obj in gt.objects]
     probs = [slot.classes.probs for slot in frame.slots]
     prob = np.array([[p[col] for p in probs] for col in cols])
-    p_lo, p_hi = (c[:, None, :] for c in _corners(slot.box for slot in frame.slots))
-    g_lo, g_hi = (c[:, :, None] for c in _corners(obj.box for obj in gt.objects))
-    side = np.array([float(header.frame_width), float(header.frame_height)])[:, None, None]
+    side = np.array([float(header.frame_width), float(header.frame_height)])
     with np.errstate(all="ignore"):  # overflow and inf - inf give inf and NaN, as in Python
-        p_wh, g_wh = p_hi - p_lo, g_hi - g_lo
+        iou, union, g_box, p_box = box_overlaps([obj.box for obj in gt.objects],
+                                                [slot.box for slot in frame.slots])
+        p_lo, p_hi, g_lo, g_hi = p_box[..., :2], p_box[..., 2:], g_box[..., :2], g_box[..., 2:]
         center = abs(0.5 * (p_lo + p_hi) - 0.5 * (g_lo + g_hi)) / side
-        size = abs(p_wh - g_wh) / side
-        l1 = (((center[0] + center[1]) + size[0]) + size[1]) / 4.0
-        hull_wh = _max(p_hi, g_hi) - _min(p_lo, g_lo)
-        hull = hull_wh[0] * hull_wh[1]
-        inter_wh = _max(0.0, _min(p_hi, g_hi) - _max(p_lo, g_lo))
-        inter = inter_wh[0] * inter_wh[1]
-        union = p_wh[0] * p_wh[1] + g_wh[0] * g_wh[1] - inter
-        iou = np.where(union <= 0.0, 0.0, inter / union)
+        size = abs((p_hi - p_lo) - (g_hi - g_lo)) / side
+        l1 = (((center[..., 0] + center[..., 1]) + size[..., 0]) + size[..., 1]) / 4.0
+        hull_wh = np.maximum(p_hi, g_hi) - np.minimum(p_lo, g_lo)
+        hull = hull_wh[..., 0] * hull_wh[..., 1]
         giou = np.where(hull <= 0.0, 1.0, 1.0 - (iou - (hull - union) / hull))
         return (w.match_w_cls * -prob + w.match_w_l1 * l1) + w.match_w_giou * giou
 

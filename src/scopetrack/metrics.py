@@ -24,6 +24,7 @@ from .model import (
     RleMask,
     VideoStream,
     box_iou,
+    box_overlaps,
     intervals_overlap,
     mask_size_error,
     similarity,
@@ -128,25 +129,12 @@ def _id_tables(seq: TrackedSequence) -> tuple[dict[int, int], list[int]]:
 
 
 def _sim_matrix(gt_frame, pred_frame) -> np.ndarray:
-    """similarity(g, p) for every pair of one frame, shape (len(gt), len(pred)).
-
-    Box IoU repeats model.box_iou's operations in its order, so each entry
-    equals similarity() bitwise: np.minimum/np.maximum may pick the other
-    sign of a zero than the builtins, but a zero overlap is clamped to +0.0
-    as max(0.0, iw) does. Pairs where both detections carry masks go
-    through similarity() for mask IoU.
-    """
+    """similarity(g, p) for every pair of one frame, shape (len(gt), len(pred)),
+    each entry bitwise: box IoU from model.box_overlaps, then similarity()
+    for the pairs where both detections carry masks."""
     if not gt_frame or not pred_frame:
         return np.zeros((len(gt_frame), len(pred_frame)))
-    g = np.asarray([d.box.as_tuple() for d in gt_frame], dtype=np.float64).reshape(-1, 1, 4)
-    p = np.asarray([d.box.as_tuple() for d in pred_frame], dtype=np.float64).reshape(1, -1, 4)
-    span = np.minimum(g[..., 2:], p[..., 2:]) - np.maximum(g[..., :2], p[..., :2])
-    span = np.where(span > 0.0, span, 0.0)
-    inter = span[..., 0] * span[..., 1]
-    g_area = (g[..., 2] - g[..., 0]) * (g[..., 3] - g[..., 1])
-    p_area = (p[..., 2] - p[..., 0]) * (p[..., 3] - p[..., 1])
-    union = g_area + p_area - inter
-    sims = np.divide(inter, union, out=np.zeros_like(inter), where=~(union <= 0.0))
+    sims = box_overlaps([d.box for d in gt_frame], [d.box for d in pred_frame])[0]
     for i, gd in enumerate(gt_frame):
         if gd.mask is None:
             continue
@@ -193,7 +181,7 @@ def _max_match(sims: np.ndarray, feasible: np.ndarray,
         return list(zip(rows, cols))
     big = 4.0 * (min(n_rows, n_cols) + 1)
     cost = np.where(feasible, -(big + weights), 0.0)
-    result = assignment.solve(assignment.CostMatrix(tuple(map(tuple, cost))))
+    result = assignment.solve(assignment.CostMatrix(cost.tolist()))
     return [(r, c) for r, c in result.pairs if feasible[r, c]]
 
 
@@ -320,8 +308,7 @@ def eval_idf1(gt: TrackedSequence, pred: TrackedSequence, alpha: float = 0.5) ->
     overlap = np.zeros((len(gt_counts), len(pr_counts)), dtype=np.int64)
     for g, p, sims in frames:
         np.add.at(overlap, np.ix_(g, p), sims >= alpha - ALPHA_MARGIN)
-    cost = tuple(tuple(float(-v) for v in row) for row in overlap)
-    result = assignment.solve(assignment.CostMatrix(cost))
+    result = assignment.solve(assignment.CostMatrix((-overlap).tolist()))
     idtp = sum(int(overlap[r, c]) for r, c in result.pairs)
     return 2.0 * idtp / (total_gt + total_pred)
 

@@ -315,6 +315,31 @@ def box_iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
+def box_overlaps(rows: Sequence[BBox], cols: Sequence[BBox]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """box_iou(row, col) and its union area for every pair, each rows x cols,
+    and the corners (x1, y1, x2, y2) as rows x 1 x 4 and 1 x cols x 4 arrays.
+
+    Each step is box_iou's operation in its order, so every entry equals the
+    scalar one bitwise. For finite corners np.minimum/np.maximum differ from
+    Python's min/max only in the sign of a zero, which reaches a result only
+    as a +-0 overlap or a +-0 hull width. The clamp maps a +-0 overlap to
+    +0.0, as max(0.0, iw) does. A hull np.maximum(hi, hi') - np.minimum(lo, lo')
+    with a +-0 width is <= 0 (GIoU 1.0), or NaN on both sides when the other
+    width is infinite. Emulating the builtins with np.where would be slower.
+    """
+    a = np.asarray([box.as_tuple() for box in rows], dtype=np.float64).reshape(-1, 1, 4)
+    b = np.asarray([box.as_tuple() for box in cols], dtype=np.float64).reshape(1, -1, 4)
+    span = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])
+    span = np.where(span > 0.0, span, 0.0)
+    inter = span[..., 0] * span[..., 1]
+    a_area = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    b_area = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = a_area + b_area - inter
+    iou = np.divide(inter, union, out=np.zeros_like(inter), where=~(union <= 0.0))
+    return iou, union, a, b
+
+
 def intervals_overlap(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> int:
     """Pixels shared by two sorted lists of disjoint [start, end) intervals."""
     inter = 0

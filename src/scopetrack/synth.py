@@ -62,13 +62,6 @@ class SynthConfig:
         return {k: v for k, v in asdict(self).items() if k != "video_id"}
 
 
-@dataclass(frozen=True)
-class ScenarioBundle:
-    name: str
-    ground_truth: GroundTruthStream
-    predictions: VideoStream
-
-
 def _validate(cfg: SynthConfig) -> None:
     if cfg.n_objects > cfg.n_queries:
         raise CapacityError(
@@ -243,9 +236,3 @@ def scenario_config(name: str, seed: int) -> SynthConfig:
             embedding_drift=0.12,
         )
     raise DataError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
-
-
-def scenario_suite(seed: int) -> list[ScenarioBundle]:
-    """All five scenarios generated from one base seed."""
-    return [ScenarioBundle(name, *generate(scenario_config(name, seed)))
-            for name in SCENARIO_NAMES]

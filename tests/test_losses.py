@@ -416,8 +416,10 @@ class TestMaskTermsBitwise:
 
 
 # Coordinates that make the scalar formulas branch or round: signed zeros,
-# shared edges, points outside a 64x48 frame, and 1e300, whose products overflow.
-_COORDS = st.sampled_from([0.0, -0.0, 1.0, 8.0, 16.0, -5.0, 70.0, 1e300, -1e300]) | st.floats(
+# shared edges, points outside a 64x48 frame, 1e300, whose products overflow, and
+# 1.7e308, whose widths overflow too, so hulls and unions meet inf - inf.
+_COORDS = st.sampled_from([0.0, -0.0, 1.0, 8.0, 16.0, -5.0, 70.0, 1e300, -1e300,
+                           1.7e308, -1.7e308]) | st.floats(
     -100.0, 100.0, allow_nan=False)
 
 

@@ -60,8 +60,8 @@ def masked_config(seed):
 class TestReferenceReport:
     @pytest.mark.parametrize("seed", range(1, 21))
     def test_synth_suite(self, seed):
-        for bundle in synth.scenario_suite(seed):
-            self.check(bundle.predictions)
+        for name in synth.SCENARIO_NAMES:
+            self.check(synth.generate(synth.scenario_config(name, seed))[1])
 
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_masked_streams(self, seed):
@@ -71,7 +71,7 @@ class TestReferenceReport:
     def test_varying_probabilities(self, seed):
         # synth keeps each object's probabilities fixed; redraw them per slot
         rng = np.random.default_rng(seed)
-        stream = synth.scenario_suite(seed)[0].predictions
+        stream = synth.generate(synth.scenario_config(synth.SCENARIO_NAMES[0], seed))[1]
         self.check(VideoStream(header=stream.header, frames=tuple(
             FramePrediction(f.frame_index, tuple(
                 dataclasses.replace(s, classes=ClassDistribution(

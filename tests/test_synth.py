@@ -15,7 +15,6 @@ from scopetrack.synth import (
     _rect_mask,
     generate,
     scenario_config,
-    scenario_suite,
 )
 from scopetrack.tracker import iou_baseline_track, track_video
 
@@ -78,11 +77,6 @@ class TestGenerate:
 
 
 class TestScenarios:
-    def test_suite_has_five_named_pairs(self):
-        suite = scenario_suite(7)
-        assert [b.name for b in suite] == list(SCENARIO_NAMES)
-        assert len(suite) == 5
-
     def test_large_motion_box_iou_zero_every_step(self):
         gt, _ = generate(scenario_config("large_motion", 7))
         by_track: dict[int, list] = {}
