@@ -211,10 +211,11 @@ def _cmd_loss_check(args, file_cfg: dict) -> int:
     preds = io.read_stream(args.pred)
     gts = io.read_ground_truth(args.gt)
     metrics.check_streams_aligned(preds, gts)
-    print(json.dumps({"config": {"weights": asdict(weights)}}))
+    lines = [json.dumps({"config": {"weights": asdict(weights)}})]
     for frame, gt_frame in zip(preds.frames, gts.frames):
         breakdown = losses.total_loss(frame, gt_frame, weights, preds.header)
-        print(json.dumps({"frame_index": frame.frame_index, **asdict(breakdown)}))
+        lines.append(json.dumps({"frame_index": frame.frame_index, **asdict(breakdown)}))
+    print("\n".join(lines))  # only once every frame checks out
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ violations.
 from __future__ import annotations
 
 import json
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -40,7 +40,8 @@ from .model import (
     validate_ground_truth,
     validate_stream,
 )
-from .tracker import FrameAssignments, TrackingOutput, TrackSummary, track_observations
+from .tracker import (FrameAssignments, TrackingOutput, TrackSummary, assigned_slots,
+                      track_observations)
 
 _HEADER_KEYS = ("n_queries", "embed_dim", "frame_height", "frame_width", "classes")
 
@@ -126,13 +127,6 @@ def _parse_record(path: str | Path, lineno: int, obj: Any, what: str,
         raise StreamFormatError(f"{path}:{lineno}: malformed {what}: {exc!r}") from exc
 
 
-def _parse_records(path: str | Path, lines: Iterable[tuple[int, Any]], what: str,
-                   parse: Callable[[Any], Any]) -> list:
-    """parse() each decoded line as it arrives. The decoder's own errors pass
-    through as they are, so the first error in file order is the one raised."""
-    return [_parse_record(path, lineno, obj, what, parse) for lineno, obj in lines]
-
-
 def _int(obj: Any, key: str) -> int:
     return require_int(obj[key], key)
 
@@ -174,10 +168,15 @@ def _header_obj(header: StreamHeader) -> dict:
 
 def _read_frames(path: str | Path, what: str, parse_frame: Callable[[Any], Any],
                  container: type, validate: Callable[[Any], list[str]]):
-    """A header line, then one parse_frame record per line, checked by validate."""
+    """A header line, then one parse_frame record per line, checked by validate.
+
+    Each record is built as its line is decoded, and the decoder's own errors
+    pass through as they are, so the first error in file order is the one
+    raised.
+    """
     lines = _load(path)
-    [header] = _parse_records(path, islice(lines, 1), "stream header", _header_from)
-    frames = _parse_records(path, lines, what, parse_frame)
+    header = _parse_record(path, *next(lines), "stream header", _header_from)
+    frames = [_parse_record(path, lineno, obj, what, parse_frame) for lineno, obj in lines]
     stream = container(header=header, frames=tuple(frames))
     violations = validate(stream)
     if violations:
@@ -283,19 +282,18 @@ def write_tracking(output: TrackingOutput, stream: VideoStream, path: str | Path
     missing from the stream raises FrameAlignmentError before anything is
     written.
     """
-    sequence = TrackedSequence.from_tracking(output, stream)
     frames = ({
         "frame_index": fa.frame_index,
         "assignments": [
             {
                 "slot": slot,
-                "track_id": det.track_id,
-                "box": list(det.box.as_tuple()),
-                "mask": _mask_obj(det.mask),
+                "track_id": track_id,
+                "box": list(query.box.as_tuple()),
+                "mask": _mask_obj(query.mask),
             }
-            for (slot, _), det in zip(fa.assignments, dets)
+            for (slot, track_id), query in zip(fa.assignments, queries)
         ],
-    } for fa, dets in zip(output.frames, sequence.frames))
+    } for fa, queries in assigned_slots(stream, output.frames))
     table = {"track_table": [_track_row(t) for t in output.tracks],
              "config": output.config}
     _write_lines(path, chain(frames, [table]))

@@ -256,20 +256,16 @@ def total_loss(frame: FramePrediction, gt: GroundTruthFrame, w: LossWeights,
         cls_ce_loss(slot.classes, label_of_query.get(j), header.classes)
         for j, slot in enumerate(frame.slots)
     ) / n
-    k = len(gt.objects)
-    if k:
-        bbox_l1 = sum(
-            l1_box_loss(frame.slots[q].box, gt.objects[g].box,
-                        header.frame_height, header.frame_width)
-            for g, q in match.pairs
-        ) / k
-        bbox_giou = sum(
-            giou_loss(frame.slots[q].box, gt.objects[g].box)
-            for g, q in match.pairs
-        ) / k
-    else:
-        bbox_l1 = 0.0
-        bbox_giou = 0.0
+    k = max(1, len(gt.objects))  # no objects: the empty sums give +0.0
+    bbox_l1 = sum(
+        l1_box_loss(frame.slots[q].box, gt.objects[g].box,
+                    header.frame_height, header.frame_width)
+        for g, q in match.pairs
+    ) / k
+    bbox_giou = sum(
+        giou_loss(frame.slots[q].box, gt.objects[g].box)
+        for g, q in match.pairs
+    ) / k
     cond_dice, cond_ce = conditional_mask_loss(frame, gt, match, w)
     total = (w.w_cls * cls + w.w_l1 * bbox_l1 + w.w_giou * bbox_giou
              + cond_dice + cond_ce)

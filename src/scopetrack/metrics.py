@@ -174,8 +174,6 @@ def _max_match(sims: np.ndarray, feasible: np.ndarray,
     of them and is returned without a solve, in the solver's row order.
     """
     n_rows, n_cols = sims.shape
-    if n_rows == 0 or n_cols == 0:
-        return []
     rows, cols = (idx.tolist() for idx in np.nonzero(feasible))
     if len(set(rows)) == len(rows) and len(set(cols)) == len(cols):
         return list(zip(rows, cols))
@@ -205,10 +203,7 @@ def hota_components(gt: TrackedSequence, pred: TrackedSequence):
 
     gc = np.asarray(gt_counts, dtype=np.float64)
     pc = np.asarray(pr_counts, dtype=np.float64)
-    if n_g and n_p:
-        ga = potential / (gc[:, None] + pc[None, :] - potential)
-    else:
-        ga = np.zeros((n_g, n_p))
+    ga = potential / (gc[:, None] + pc[None, :] - potential)
 
     # A frame's sims and weights do not depend on alpha; alpha only moves the
     # feasibility mask, so each distinct mask of a frame is matched once.
@@ -303,8 +298,6 @@ def eval_idf1(gt: TrackedSequence, pred: TrackedSequence, alpha: float = 0.5) ->
     total_pred = sum(pr_counts)
     if total_gt + total_pred == 0:
         return 1.0
-    if not gt_counts or not pr_counts:
-        return 0.0
     overlap = np.zeros((len(gt_counts), len(pr_counts)), dtype=np.int64)
     for g, p, sims in frames:
         np.add.at(overlap, np.ix_(g, p), sims >= alpha - ALPHA_MARGIN)
@@ -447,8 +440,6 @@ def eval_classification_f1(preds: VideoStream, gts: GroundTruthStream,
                     f"ground-truth class {obj.class_label!r} not in {classes}"
                 )
     tp, fp, fn = _box_matches(_detections(preds, tau), gts, classes)
-    if tp + fp == 0 and tp + fn == 0:
-        return 1.0
     precision = tp / (tp + fp) if tp + fp else 1.0
     recall = tp / (tp + fn) if tp + fn else 1.0
     if precision + recall == 0.0:

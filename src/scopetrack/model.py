@@ -330,13 +330,14 @@ def box_overlaps(rows: Sequence[BBox], cols: Sequence[BBox]
     """
     a = np.asarray([box.as_tuple() for box in rows], dtype=np.float64).reshape(-1, 1, 4)
     b = np.asarray([box.as_tuple() for box in cols], dtype=np.float64).reshape(1, -1, 4)
-    span = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])
-    span = np.where(span > 0.0, span, 0.0)
-    inter = span[..., 0] * span[..., 1]
-    a_area = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    b_area = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    union = a_area + b_area - inter
-    iou = np.divide(inter, union, out=np.zeros_like(inter), where=~(union <= 0.0))
+    with np.errstate(all="ignore"):  # overflow and inf - inf give inf and NaN, as in Python
+        span = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])
+        span = np.where(span > 0.0, span, 0.0)
+        inter = span[..., 0] * span[..., 1]
+        a_area = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+        b_area = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+        union = a_area + b_area - inter
+        iou = np.divide(inter, union, out=np.zeros_like(inter), where=~(union <= 0.0))
     return iou, union, a, b
 
 

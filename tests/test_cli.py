@@ -119,6 +119,28 @@ class TestEval:
         assert result["metrics"]["F1"] == 100.0
 
 
+    def test_eval_track_overflowing_box_warns_nothing(self, tmp_path):
+        """A box whose area overflows scores as no match, without numpy warnings."""
+        box = [-1.7e308, -1.7e308, 1.7e308, 1.7e308]
+        header = {"version": 1, "n_queries": 1, "embed_dim": 2, "frame_height": 64,
+                  "frame_width": 64, "classes": ["AD"]}
+        slot = {"embedding": [1.0, 0.0], "box": box, "probs": [0.9]}
+        obj = {"gt_track_id": 0, "box": box, "class": "AD"}
+        pred_path, gt_path = tmp_path / "pred.jsonl", tmp_path / "gt.jsonl"
+        pred_path.write_text(json.dumps(header) + "\n" + json.dumps(
+            {"frame_index": 0, "slots": [slot]}) + "\n")
+        gt_path.write_text(json.dumps(header) + "\n" + json.dumps(
+            {"frame_index": 0, "objects": [obj]}) + "\n")
+        tracks = tmp_path / "tracks.jsonl"
+        assert run(["track", "--in", str(pred_path), "--out", str(tracks)]) == 0
+        proc = subprocess.run([sys.executable, "-m", "scopetrack", "eval-track",
+                               "--pred", str(tracks), "--gt", str(gt_path)],
+                              env=_child_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["metrics"]["HOTA"] == 0.0
+
+
 class TestReportCli:
     def test_text_report(self, tmp_path, capsys):
         _, pred_path = synth_files(tmp_path, scenario="static")
@@ -250,6 +272,24 @@ class TestErrorPaths:
         code = run(["loss-check", "--pred", str(pred_path), "--gt", str(gt_path)])
         assert code == 2
         assert "mask" in capsys.readouterr().err
+
+    def test_loss_check_late_frame_error_prints_nothing(self, tmp_path, capsys):
+        """Frames 0-1 are fine; frame 2 has two objects for one query slot."""
+        header = {"version": 1, "n_queries": 1, "embed_dim": 2, "frame_height": 64,
+                  "frame_width": 64, "classes": ["AD"]}
+        slot = {"embedding": [1.0, 0.0], "box": [0.0, 0.0, 10.0, 10.0], "probs": [0.9]}
+        objects = [{"gt_track_id": i, "box": [0.0, 0.0, 10.0, 10.0], "class": "AD"}
+                   for i in range(2)]
+        pred_path, gt_path = tmp_path / "pred.jsonl", tmp_path / "gt.jsonl"
+        pred_path.write_text("\n".join(json.dumps(obj) for obj in [header] + [
+            {"frame_index": t, "slots": [slot]} for t in range(3)]) + "\n")
+        gt_path.write_text("\n".join(json.dumps(obj) for obj in [header] + [
+            {"frame_index": t, "objects": objects[:1 + (t == 2)]} for t in range(3)]) + "\n")
+        code = run(["loss-check", "--pred", str(pred_path), "--gt", str(gt_path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "2 ground-truth objects but only 1 query slots" in err
 
     def test_misaligned_frames_exit_two(self, tmp_path, capsys):
         gt_path, pred_path = synth_files(tmp_path, scenario="static")
@@ -555,16 +595,20 @@ _BAD_INPUTS = {
 }
 
 
+def _child_env(**extra) -> dict:
+    """os.environ plus extra, with this checkout's package first on PYTHONPATH."""
+    src = str(Path(scopetrack.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
+
+
 @pytest.mark.parametrize("name", list(_BAD_INPUTS))
 def test_malformed_input_is_data_error(tmp_path, name):
     """Decode failures at the parse boundary exit 2 without a traceback."""
     gt_path, pred_path = synth_files(tmp_path, scenario="static")
     argv, location = _BAD_INPUTS[name](tmp_path, gt_path, pred_path)
-    src = str(Path(scopetrack.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "scopetrack"] + argv, cwd=tmp_path,
-                          env=dict(os.environ, PYTHONPATH=pythonpath),
-                          capture_output=True, text=True)
+                          env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     if location is not None:
@@ -586,10 +630,8 @@ def _capped_run(argv, cwd):
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
         resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE_CAP, hard))
 
-    src = str(Path(scopetrack.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "scopetrack"] + argv, cwd=cwd,
-                          env=dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS="1"),
+                          env=_child_env(OPENBLAS_NUM_THREADS="1"),
                           preexec_fn=cap, capture_output=True, text=True)
 
 

@@ -316,6 +316,11 @@ class TestTotalLoss:
         breakdown = total_loss(frame, gt, LossWeights(), header)
         assert breakdown.total < 1e-3
 
+    def test_no_objects_gives_positive_zero_box_terms(self):
+        frame, gt = random_instance(np.random.default_rng(14), 0, 3)
+        breakdown = total_loss(frame, gt, LossWeights(), make_header(3))
+        assert breakdown.bbox_l1.hex() == breakdown.bbox_giou.hex() == (0.0).hex()
+
     def test_box_only_ground_truth(self):
         rng = np.random.default_rng(11)
         w = LossWeights()

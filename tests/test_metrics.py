@@ -208,6 +208,15 @@ class TestHota:
         hota, deta, assa = eval_hota(gt, pred)
         assert (hota, deta, assa) == (0.0, 0.0, 0.0)
 
+    def test_empty_ground_truth(self):
+        gt = seq([[] for _ in range(4)])
+        pred = seq([[(0, BOX)] for _ in range(4)])
+        assert eval_hota(gt, pred) == (0.0, 0.0, 0.0)
+
+    def test_two_empty_videos(self):
+        empty = seq([[] for _ in range(4)])
+        assert eval_hota(empty, empty) == (0.0, 0.0, 0.0)
+
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(2024)
         checked = 0
@@ -294,6 +303,15 @@ class TestIdf1:
         gt = seq([[(0, BOX)] for _ in range(4)])
         pred = seq([[] for _ in range(4)])
         assert eval_idf1(gt, pred) == 0.0
+
+    def test_empty_ground_truth(self):
+        gt = seq([[] for _ in range(4)])
+        pred = seq([[(0, BOX)] for _ in range(4)])
+        assert eval_idf1(gt, pred) == 0.0
+
+    def test_two_empty_videos(self):
+        empty = seq([[] for _ in range(4)])
+        assert eval_idf1(empty, empty) == 1.0
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(5)
@@ -391,6 +409,11 @@ class TestEvalSegmentation:
         assert res.precision == 1.0  # vacuous
         assert res.dice == 0.0
 
+    def test_nothing_on_either_side(self):
+        pred, gt = det_streams([([], []), ([], [])])
+        res = eval_segmentation(pred, gt)
+        assert (res.precision, res.recall) == (1.0, 1.0)  # both vacuous
+
     def test_half_overlap_counts(self):
         # |A|=|B|=2 with intersection 1: dice 1/2, iou 1/3
         a = grid_with([(0, 0), (0, 1)])
@@ -452,6 +475,10 @@ class TestClassificationF1:
             ([((2, 2, 6, 6), (0.9, 0.05), None)], [(0, (2, 2, 6, 6), "HP", None)]),
         ])
         assert eval_classification_f1(pred, gt) == 0.0
+
+    def test_nothing_on_either_side(self):
+        pred, gt = det_streams([([], []), ([], [])])
+        assert eval_classification_f1(pred, gt) == 1.0
 
     def test_counts_formula(self):
         # 10 GT over 10 frames; 8 matched correctly, 2 spurious, 2 missed
@@ -822,8 +849,7 @@ class TestSimMatrix:
                  (0.0, 0.0, 0.0, 0.0), (20.0, 20.0, 30.0, 30.0), (0.0, 0.0, -0.0, 2.0),
                  (-1e200, 0.0, 1e200, 1.0), (-1.7e308, -1.7e308, 1.7e308, 1.7e308)]
         dets = tuple(TrackedDet(k, BBox(*b)) for k, b in enumerate(boxes))
-        with np.errstate(over="ignore", invalid="ignore"):  # the last two overflow
-            sims = _sim_matrix(dets, dets)
+        sims = _sim_matrix(dets, dets)  # the last two overflow, silently
         for i, g in enumerate(dets):
             for j, p in enumerate(dets):
                 assert float(sims[i, j]).hex() == similarity(g, p).hex()
