@@ -36,7 +36,6 @@ from .model import (
     frame_order,
     require_floats,
     require_int,
-    require_str,
     validate_ground_truth,
     validate_stream,
 )
@@ -134,19 +133,16 @@ def _int(obj: Any, key: str) -> int:
 def _header_from(obj: Any) -> StreamHeader:
     if not isinstance(obj, dict) or any(k not in obj for k in _HEADER_KEYS):
         raise StreamFormatError("first line is not a stream header")
-    classes = obj["classes"]
-    if type(classes) is not list or not all(type(c) is str for c in classes):
-        raise DataError(f"classes must be an array of strings, got {classes!r}")
     extra = {k: v for k, v in obj.items()
              if k not in _HEADER_KEYS and k not in ("version", "video_id")}
     return StreamHeader(
-        n_queries=_int(obj, "n_queries"),
-        embed_dim=_int(obj, "embed_dim"),
-        frame_height=_int(obj, "frame_height"),
-        frame_width=_int(obj, "frame_width"),
-        classes=tuple(classes),
-        version=require_int(obj.get("version", 1), "version"),
-        video_id=require_str(obj.get("video_id", ""), "video_id"),
+        n_queries=obj["n_queries"],
+        embed_dim=obj["embed_dim"],
+        frame_height=obj["frame_height"],
+        frame_width=obj["frame_width"],
+        classes=obj["classes"],
+        version=obj.get("version", 1),
+        video_id=obj.get("video_id", ""),
         extra=extra,
     )
 
@@ -206,7 +202,7 @@ def _parse_frame(obj: Any) -> FramePrediction:
         )
         for s in obj["slots"]
     )
-    return FramePrediction(frame_index=_int(obj, "frame_index"), slots=slots)
+    return FramePrediction(frame_index=obj["frame_index"], slots=slots)
 
 
 def read_stream(path: str | Path) -> VideoStream:
@@ -232,14 +228,14 @@ def write_stream(stream: VideoStream, path: str | Path) -> None:
 def _parse_gt_frame(obj: Any) -> GroundTruthFrame:
     objects = tuple(
         GroundTruthObject(
-            gt_track_id=_int(o, "gt_track_id"),
+            gt_track_id=o["gt_track_id"],
             box=BBox(*o["box"]),
-            class_label=require_str(o["class"], "class"),
+            class_label=o["class"],
             mask=_parse_mask(o.get("mask")),
         )
         for o in obj["objects"]
     )
-    return GroundTruthFrame(frame_index=_int(obj, "frame_index"), objects=objects)
+    return GroundTruthFrame(frame_index=obj["frame_index"], objects=objects)
 
 
 def read_ground_truth(path: str | Path) -> GroundTruthStream:

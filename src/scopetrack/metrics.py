@@ -149,17 +149,19 @@ def _pair(gt: TrackedSequence, pred: TrackedSequence):
 
     Returns (gt_counts, pred_counts, frames): the detections per dense track
     id of each side, and per frame the dense gt ids, the dense pred ids and
-    the similarity matrix between those detections.
+    the similarity matrix between those detections. The matrices are
+    read-only, as every metric reads the same ones.
     """
     check_frame_alignment("ground-truth", gt.frame_indices,
                           "predicted", pred.frame_indices)
     gt_index, gt_counts = _id_tables(gt)
     pr_index, pr_counts = _id_tables(pred)
-    frames = [
-        ([gt_index[d.track_id] for d in gf], [pr_index[d.track_id] for d in pf],
-         _sim_matrix(gf, pf))
-        for gf, pf in zip(gt.frames, pred.frames)
-    ]
+    frames = []
+    for gf, pf in zip(gt.frames, pred.frames):
+        sims = _sim_matrix(gf, pf)
+        sims.flags.writeable = False
+        frames.append(([gt_index[d.track_id] for d in gf],
+                       [pr_index[d.track_id] for d in pf], sims))
     return gt_counts, pr_counts, frames
 
 
@@ -185,7 +187,12 @@ def _max_match(sims: np.ndarray, feasible: np.ndarray,
 
 def hota_components(gt: TrackedSequence, pred: TrackedSequence):
     """Per-alpha (deta, assa, hota) triples over the threshold grid."""
-    gt_counts, pr_counts, paired = _pair(gt, pred)
+    return _hota_components(_pair(gt, pred))
+
+
+def _hota_components(pairing):
+    """hota_components on a _pair result."""
+    gt_counts, pr_counts, paired = pairing
     n_g, n_p = len(gt_counts), len(pr_counts)
 
     # (gt/pred id index grid, sims) of each frame with detections on both sides
@@ -241,7 +248,12 @@ def hota_components(gt: TrackedSequence, pred: TrackedSequence):
 
 def eval_hota(gt: TrackedSequence, pred: TrackedSequence) -> tuple[float, float, float]:
     """(hota, deta, assa) averaged over the localization threshold grid."""
-    comps = hota_components(gt, pred)
+    return _hota(_pair(gt, pred))
+
+
+def _hota(pairing) -> tuple[float, float, float]:
+    """eval_hota on a _pair result."""
+    comps = _hota_components(pairing)
     n = len(comps)
     deta = sum(c[0] for c in comps) / n
     assa = sum(c[1] for c in comps) / n
@@ -251,7 +263,12 @@ def eval_hota(gt: TrackedSequence, pred: TrackedSequence) -> tuple[float, float,
 
 def eval_mota(gt: TrackedSequence, pred: TrackedSequence, alpha: float = 0.5) -> float:
     """CLEAR accuracy with previous-frame match persistence."""
-    gt_counts, _, frames = _pair(gt, pred)
+    return _mota(_pair(gt, pred), alpha)
+
+
+def _mota(pairing, alpha: float) -> float:
+    """eval_mota on a _pair result."""
+    gt_counts, _, frames = pairing
     total_gt = sum(gt_counts)
     if total_gt == 0:
         raise UndefinedMetricError("MOTA undefined: ground truth has no detections")
@@ -293,7 +310,12 @@ def eval_mota(gt: TrackedSequence, pred: TrackedSequence, alpha: float = 0.5) ->
 
 def eval_idf1(gt: TrackedSequence, pred: TrackedSequence, alpha: float = 0.5) -> float:
     """F1 over identity-consistent matches under a global trajectory pairing."""
-    gt_counts, pr_counts, frames = _pair(gt, pred)
+    return _idf1(_pair(gt, pred), alpha)
+
+
+def _idf1(pairing, alpha: float) -> float:
+    """eval_idf1 on a _pair result."""
+    gt_counts, pr_counts, frames = pairing
     total_gt = sum(gt_counts)
     total_pred = sum(pr_counts)
     if total_gt + total_pred == 0:
@@ -308,13 +330,15 @@ def eval_idf1(gt: TrackedSequence, pred: TrackedSequence, alpha: float = 0.5) ->
 
 def evaluate_tracking(gt: TrackedSequence, pred: TrackedSequence,
                       alpha: float = 0.5) -> TrackEvalResult:
-    hota, deta, assa = eval_hota(gt, pred)
+    """eval_hota, eval_mota and eval_idf1, in that order, on one pairing."""
+    pairing = _pair(gt, pred)
+    hota, deta, assa = _hota(pairing)
     return TrackEvalResult(
         hota=hota,
         deta=deta,
         assa=assa,
-        mota=eval_mota(gt, pred, alpha=alpha),
-        idf1=eval_idf1(gt, pred, alpha=alpha),
+        mota=_mota(pairing, alpha),
+        idf1=_idf1(pairing, alpha),
     )
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -19,10 +21,13 @@ _NUMBER_TYPES = frozenset((int, float))
 
 
 def require_int(value, name: str) -> int:
-    """value itself when it is an integer; a bool, float or string raises DataError."""
-    if type(value) is not int:
-        raise DataError(f"{name} must be an integer, got {value!r}")
-    return value
+    """value as an int: a Python or numpy integer; a bool, float or string
+    raises DataError."""
+    if type(value) is int:
+        return value
+    if isinstance(value, np.integer):
+        return int(value)
+    raise DataError(f"{name} must be an integer, got {value!r}")
 
 
 def require_str(value, name: str) -> str:
@@ -145,9 +150,9 @@ class RleMask:
             raise MaskFormatError(f"mask dimensions must be positive, got {height}x{width}")
         if not self.runs:
             raise MaskFormatError("mask needs at least one run")
-        if any(r < 0 for r in self.runs):
+        if min(self.runs) < 0:
             raise MaskFormatError(f"negative run length in {self.runs}")
-        if any(r == 0 for r in self.runs[1:]):
+        if 0 in self.runs[1:]:
             raise MaskFormatError("only the leading background run may be zero")
         total = sum(self.runs)
         if total != self.height * self.width:
@@ -161,14 +166,13 @@ class RleMask:
         return sum(self.runs[1::2])
 
     def foreground_intervals(self) -> list[tuple[int, int]]:
-        """Half-open [start, end) foreground intervals in flat row-major order."""
-        intervals = []
-        pos = 0
-        for i, run in enumerate(self.runs):
-            if i % 2 == 1 and run > 0:
-                intervals.append((pos, pos + run))
-            pos += run
-        return intervals
+        """Half-open [start, end) foreground intervals in flat row-major order.
+
+        Run i ends at the i-th prefix sum; every run after the first is
+        positive, so each odd run is one interval from the end before it.
+        """
+        ends = list(accumulate(self.runs))
+        return list(zip(ends[0::2], ends[1::2]))
 
 
 @dataclass(frozen=True)
@@ -226,6 +230,7 @@ class FramePrediction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "slots", tuple(self.slots))
+        object.__setattr__(self, "frame_index", require_int(self.frame_index, "frame_index"))
         if self.frame_index < 0:
             raise DimensionError(f"frame_index must be >= 0, got {self.frame_index}")
 
@@ -239,6 +244,10 @@ class GroundTruthObject:
     class_label: str
     mask: RleMask | None = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "gt_track_id", require_int(self.gt_track_id, "gt_track_id"))
+        require_str(self.class_label, "class")
+
 
 @dataclass(frozen=True)
 class GroundTruthFrame:
@@ -247,6 +256,7 @@ class GroundTruthFrame:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objects", tuple(self.objects))
+        object.__setattr__(self, "frame_index", require_int(self.frame_index, "frame_index"))
 
 
 @dataclass(frozen=True)
@@ -261,6 +271,15 @@ class StreamHeader:
     version: int = 1
     video_id: str = ""
     extra: dict = field(default_factory=dict, compare=False)
+
+    def __post_init__(self) -> None:
+        classes = self.classes
+        if type(classes) not in (list, tuple) or not all(type(c) is str for c in classes):
+            raise DataError(f"classes must be an array of strings, got {classes!r}")
+        object.__setattr__(self, "classes", tuple(classes))
+        for name in ("n_queries", "embed_dim", "frame_height", "frame_width", "version"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
+        require_str(self.video_id, "video_id")
 
 
 @dataclass(frozen=True)
@@ -342,18 +361,20 @@ def box_overlaps(rows: Sequence[BBox], cols: Sequence[BBox]
 
 
 def intervals_overlap(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> int:
-    """Pixels shared by two sorted lists of disjoint [start, end) intervals."""
-    inter = 0
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if hi > lo:
-            inter += hi - lo
-        if a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
+    """Pixels shared by two sorted lists of disjoint [start, end) intervals
+    of pixel positions (>= 0).
+
+    That is |a| + |b| - |a ∪ b|, taken in one sweep in start order: each
+    interval adds the part the intervals before it already cover, which is
+    [start, min(end, reach)) with reach the furthest end so far. The key
+    sorts a mix of lists and tuples. All arithmetic is on ints, so exact.
+    """
+    inter = reach = 0
+    for start, end in sorted(chain(a, b), key=itemgetter(0)):
+        if start < reach:
+            inter += (end if end < reach else reach) - start
+        if end > reach:
+            reach = end
     return inter
 
 

@@ -42,7 +42,9 @@ class TrackerConfig:
     def __post_init__(self) -> None:
         require_range(self.empty_threshold, "empty_threshold", 0.0, 1.0,
                       open_low=True, open_high=True)
-        if require_int(self.death_patience, "death_patience") < 1:
+        object.__setattr__(self, "death_patience",
+                           require_int(self.death_patience, "death_patience"))
+        if self.death_patience < 1:
             raise DataError(f"death_patience must be >= 1, got {self.death_patience}")
         if not isinstance(self.carry_forward, bool):
             raise DataError(f"carry_forward must be true or false, got {self.carry_forward!r}")

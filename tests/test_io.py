@@ -208,6 +208,24 @@ class TestNumbers:
         io.write_stream(stream, path)
         assert io.read_stream(path) == stream
 
+    def test_numpy_integer_fields_are_written_as_ints(self, tmp_path, bundle):
+        gt, pred = bundle
+        header = replace(pred.header, n_queries=np.int64(pred.header.n_queries),
+                         frame_width=np.int32(pred.header.frame_width))
+        frame = replace(pred.frames[0], frame_index=np.int64(0))
+        stream = replace(pred, header=header, frames=(frame,) + pred.frames[1:])
+        path = tmp_path / "pred.jsonl"
+        io.write_stream(stream, path)
+        assert io.read_stream(path) == pred
+        gt_frame = gt.frames[0]
+        objects = tuple(replace(o, gt_track_id=np.int64(o.gt_track_id))
+                        for o in gt_frame.objects)
+        truth = replace(gt, frames=(replace(gt_frame, frame_index=np.int64(0),
+                                            objects=objects),) + gt.frames[1:])
+        path = tmp_path / "gt.jsonl"
+        io.write_ground_truth(truth, path)
+        assert io.read_ground_truth(path) == gt
+
 
 # Every line boundary str.splitlines() knows, and line contents: blank, or one JSON value.
 _SEPARATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",

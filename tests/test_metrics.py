@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_slot, make_stream, unit_vec
-from scopetrack import assignment
+from scopetrack import assignment, synth
 from scopetrack.assignment import CostMatrix, solve
 from scopetrack.errors import (
     DataError,
@@ -29,10 +29,11 @@ from scopetrack.metrics import (
     eval_idf1,
     eval_mota,
     eval_segmentation,
+    evaluate_tracking,
     hota_components,
     similarity,
 )
-from scopetrack.metrics import _sim_matrix
+from scopetrack.metrics import _pair, _sim_matrix
 from scopetrack.model import (
     BBox,
     ClassDistribution,
@@ -927,6 +928,54 @@ class TestAlignmentMessages:
         with pytest.raises(FrameAlignmentError,
                            match="position 6, prediction has frame 6 and ground-truth has frame 7"):
             eval_segmentation(pred, late)
+
+
+class TestEvaluateOnce:
+    """evaluate_tracking pairs the frames once and gives that pairing to all
+    three metrics; each field equals its standalone function bitwise."""
+
+    @staticmethod
+    def standalone(gt, pred, alpha=0.5):
+        hota, deta, assa = eval_hota(gt, pred)
+        return (hota, deta, assa, eval_mota(gt, pred, alpha=alpha),
+                eval_idf1(gt, pred, alpha=alpha))
+
+    @pytest.mark.parametrize("masks", [False, True], ids=["boxes", "masks"])
+    @pytest.mark.parametrize("scenario", synth.SCENARIO_NAMES)
+    def test_fields_equal_standalone_metrics(self, scenario, masks):
+        cfg = dataclasses.replace(synth.scenario_config(scenario, 1), with_masks=masks)
+        gt_stream, stream = synth.generate(cfg)
+        gt = TrackedSequence.from_ground_truth(gt_stream)
+        pred = TrackedSequence.from_tracking(track_video(stream), stream)
+        for alpha in (0.5, 0.3):
+            result = evaluate_tracking(gt, pred, alpha=alpha)
+            got = [getattr(result, f).hex()
+                   for f in ("hota", "deta", "assa", "mota", "idf1")]
+            assert got == [v.hex() for v in self.standalone(gt, pred, alpha)]
+
+    def test_misaligned_pair_raises_the_same_error(self):
+        gt = seq([[(0, BOX)] for _ in range(4)])
+        pred = TrackedSequence(frame_indices=(0, 1, 3, 4), frames=gt.frames)
+        with pytest.raises(FrameAlignmentError) as standalone:
+            self.standalone(gt, pred)
+        with pytest.raises(FrameAlignmentError) as once:
+            evaluate_tracking(gt, pred)
+        assert str(once.value) == str(standalone.value)
+
+    def test_empty_ground_truth_raises_after_alignment(self):
+        pred = seq([[(0, BOX)], []])
+        with pytest.raises(UndefinedMetricError):
+            evaluate_tracking(seq([[], []]), pred)
+        with pytest.raises(FrameAlignmentError):
+            evaluate_tracking(seq([[]]), pred)
+
+    def test_pairing_matrices_are_read_only(self):
+        gt = seq([[(0, BOX), (1, (20.0, 0.0, 30.0, 10.0))], []])
+        pred = seq([[(5, BOX)], [(5, BOX)]])
+        _, _, frames = _pair(gt, pred)
+        for _, _, sims in frames:
+            with pytest.raises(ValueError):
+                sims[...] = 0.5
 
 
 class TestFromTracking:

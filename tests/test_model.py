@@ -9,9 +9,14 @@ from scopetrack.errors import DataError, DimensionError, MaskFormatError
 from scopetrack.model import (
     BBox,
     ClassDistribution,
+    FramePrediction,
+    GroundTruthFrame,
+    GroundTruthObject,
     QuerySlot,
     RleMask,
+    StreamHeader,
     box_iou,
+    intervals_overlap,
     mask_iou,
     rle_decode,
     rle_encode,
@@ -251,3 +256,77 @@ class TestNumberRule:
         mask = RleMask(np.int64(1), np.int64(4), (np.int64(2), np.int64(2)))
         assert mask == RleMask(1, 4, (2, 2))
         assert all(type(v) is int for v in (mask.height, mask.width, *mask.runs))
+
+
+class TestRecordFields:
+    """The record types check their own integer and string fields: numpy
+    integers are held as ints, anything else raises DataError naming the
+    field, with the message the readers give for the same value in a file."""
+
+    def test_numpy_frame_index_held_as_int(self):
+        frame = FramePrediction(frame_index=np.int64(3), slots=())
+        assert frame.frame_index == 3 and type(frame.frame_index) is int
+        frame = GroundTruthFrame(frame_index=np.uint8(3), objects=())
+        assert frame.frame_index == 3 and type(frame.frame_index) is int
+
+    def test_numpy_header_fields_held_as_ints(self):
+        header = StreamHeader(n_queries=np.int64(1), embed_dim=np.int32(2),
+                              frame_height=4, frame_width=4, classes=["AD"])
+        assert (header.n_queries, header.embed_dim, header.classes) == (1, 2, ("AD",))
+        assert type(header.n_queries) is int and type(header.embed_dim) is int
+
+    def test_fractional_track_id_rejected(self):
+        with pytest.raises(DataError, match="^gt_track_id must be an integer, got 1.5$"):
+            GroundTruthObject(gt_track_id=1.5, box=BBox(0, 0, 1, 1), class_label="AD")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_queries", 2.0, "n_queries must be an integer, got 2.0"),
+        ("version", True, "version must be an integer, got True"),
+        ("video_id", 7, "video_id must be a string, got 7"),
+        ("classes", "AD", "classes must be an array of strings, got 'AD'"),
+        ("classes", ("AD", 1), "classes must be an array of strings, got ('AD', 1)"),
+    ])
+    def test_bad_header_fields_rejected(self, field, value, message):
+        fields = dict(n_queries=1, embed_dim=2, frame_height=4, frame_width=4,
+                      classes=("AD",))
+        fields[field] = value
+        with pytest.raises(DataError) as info:
+            StreamHeader(**fields)
+        assert str(info.value) == message
+
+    def test_bad_frame_index_and_class_rejected(self):
+        with pytest.raises(DataError, match="^frame_index must be an integer, got '0'$"):
+            FramePrediction(frame_index="0", slots=())
+        with pytest.raises(DataError, match="^frame_index must be an integer, got 0.0$"):
+            GroundTruthFrame(frame_index=0.0, objects=())
+        with pytest.raises(DataError, match="^class must be a string, got None$"):
+            GroundTruthObject(gt_track_id=0, box=BBox(0, 0, 1, 1), class_label=None)
+
+
+class TestIntervals:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=60))
+    def test_foreground_intervals_read_off_the_decoded_grid(self, bits):
+        mask = rle_encode(np.array([bits]))
+        flat = rle_decode(mask).ravel()
+        assert flat.tolist() == bits
+        padded = np.concatenate(([0], flat, [0])).astype(np.int8)
+        edges = np.flatnonzero(np.diff(padded)).tolist()
+        got = mask.foreground_intervals()
+        assert got == list(zip(edges[0::2], edges[1::2]))
+        assert all(type(v) is int for pair in got for v in pair)
+
+    @staticmethod
+    def _intervals(points):
+        points = sorted(points)
+        return [(points[i], points[i + 1]) for i in range(0, len(points) - 1, 2)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sets(st.integers(0, 80), max_size=24), st.sets(st.integers(0, 80), max_size=24))
+    def test_intervals_overlap_counts_shared_pixels(self, a_points, b_points):
+        a = [list(pair) for pair in self._intervals(a_points)]
+        b = self._intervals(b_points)
+        pixels_a = {x for start, end in a for x in range(start, end)}
+        pixels_b = {x for start, end in b for x in range(start, end)}
+        assert intervals_overlap(a, b) == len(pixels_a & pixels_b)
+        assert intervals_overlap(b, a) == len(pixels_a & pixels_b)

@@ -268,6 +268,10 @@ class TestConfig:
         with pytest.raises(DataError):
             TrackerConfig(death_patience=0)
 
+    def test_numpy_patience_held_as_int(self):
+        config = TrackerConfig(death_patience=np.int64(2))
+        assert config.death_patience == 2 and type(config.death_patience) is int
+
 
 class TestAssignedSlotsNonEmpty:
     def test_every_assigned_slot_is_nonempty(self, header):
