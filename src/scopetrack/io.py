@@ -39,8 +39,8 @@ from .model import (
     validate_ground_truth,
     validate_stream,
 )
-from .tracker import (FrameAssignments, TrackingOutput, TrackSummary, assigned_slots,
-                      track_observations)
+from .report import class_means
+from .tracker import FrameAssignments, TrackingOutput, TrackSummary, assigned_slots
 
 _HEADER_KEYS = ("n_queries", "embed_dim", "frame_height", "frame_width", "classes")
 
@@ -259,11 +259,11 @@ def write_ground_truth(stream: GroundTruthStream, path: str | Path) -> None:
     _write_lines(path, chain([_header_obj(stream.header)], frames))
 
 
-def _track_row(t: TrackSummary) -> dict:
+def _track_row(t: TrackSummary, mean_probs: tuple[float, ...]) -> dict:
     return {
         "track_id": t.track_id,
         "observations": [list(o) for o in t.observations],
-        "mean_probs": list(t.mean_probs),
+        "mean_probs": list(mean_probs),
         "first_frame": t.first_frame,
         "last_frame": t.last_frame,
         "frame_count": t.frame_count,
@@ -274,10 +274,11 @@ def write_tracking(output: TrackingOutput, stream: VideoStream, path: str | Path
     """One line per frame plus a trailing track-table line.
 
     Assignments embed the slot geometry so that downstream evaluation does
-    not need the original stream next to the tracks file. A tracked frame
-    missing from the stream raises FrameAlignmentError before anything is
-    written.
+    not need the original stream next to the tracks file; the table copies
+    report.class_means, which no reader uses. A tracked frame missing from
+    the stream raises FrameAlignmentError before anything is written.
     """
+    means = class_means(stream, output.frames)
     frames = ({
         "frame_index": fa.frame_index,
         "assignments": [
@@ -290,7 +291,7 @@ def write_tracking(output: TrackingOutput, stream: VideoStream, path: str | Path
             for (slot, track_id), query in zip(fa.assignments, queries)
         ],
     } for fa, queries in assigned_slots(stream, output.frames))
-    table = {"track_table": [_track_row(t) for t in output.tracks],
+    table = {"track_table": [_track_row(t, means[t.track_id]) for t in output.tracks],
              "config": output.config}
     _write_lines(path, chain(frames, [table]))
 
@@ -309,23 +310,22 @@ def _parse_tracked_frame(obj: Any) -> tuple[FrameAssignments, tuple[TrackedDet, 
     return FrameAssignments(frame_index=frame_index, assignments=assignments), dets
 
 
-def _parse_track_table(tail: Any, frames: tuple[FrameAssignments, ...]
-                       ) -> tuple[tuple[TrackSummary, ...], dict]:
-    """The table's tracks; each row must be the one write_tracking writes for
-    the observations on the assignment lines and the row's mean_probs."""
+def _parse_track_table(tail: Any, frames: tuple[FrameAssignments, ...]) -> TrackingOutput:
+    """The tracking; each row must be the one write_tracking writes for the
+    assignment lines and its mean_probs. Rows are checked before the config."""
     rows = tail["track_table"]
     for row in rows:
         _int(row, "track_id")
         for value in chain.from_iterable(row["observations"]):
             require_int(value, "observations")
-    observed = track_observations(frames)
-    tracks = tuple(
-        TrackSummary(track_id, observations, require_floats(row["mean_probs"], "mean_probs"))
-        for (track_id, observations), row in zip(observed.items(), rows)
-    )
-    if len(rows) != len(observed) or any(_track_row(t) != row for t, row in zip(tracks, rows)):
+    output = TrackingOutput(frames=frames, config={})
+    means = [require_floats(row["mean_probs"], "mean_probs")
+             for _, row in zip(output.tracks, rows)]
+    if len(rows) != len(output.tracks) or any(
+            _track_row(t, m) != row for t, m, row in zip(output.tracks, means, rows)):
         raise StreamFormatError("track table disagrees with the assignment lines")
-    return tracks, dict(sorted(tail.get("config", {}).items()))
+    output.config.update(sorted(tail.get("config", {}).items()))
+    return output
 
 
 def read_tracking(path: str | Path) -> tuple[TrackingOutput, TrackedSequence]:
@@ -348,9 +348,8 @@ def read_tracking(path: str | Path) -> tuple[TrackingOutput, TrackedSequence]:
     frames = tuple(fa for fa, _ in parsed)
     for pos, reason in frame_order([fa.frame_index for fa in frames]):
         raise StreamFormatError(f"{path}:{linenos[pos]}: {reason}")
-    tracks, config = _parse_record(path, lineno, tail, "track table",
-                                   lambda obj: _parse_track_table(obj, frames))
-    output = TrackingOutput(frames=frames, tracks=tracks, config=config)
+    output = _parse_record(path, lineno, tail, "track table",
+                           lambda obj: _parse_track_table(obj, frames))
     sequence = TrackedSequence(
         frame_indices=tuple(fa.frame_index for fa in frames),
         frames=tuple(dets for _, dets in parsed),

@@ -276,6 +276,8 @@ class StreamHeader:
         classes = self.classes
         if type(classes) not in (list, tuple) or not all(type(c) is str for c in classes):
             raise DataError(f"classes must be an array of strings, got {classes!r}")
+        if len(set(classes)) < len(classes):
+            raise DataError(f"classes must not repeat a class, got {classes!r}")
         object.__setattr__(self, "classes", tuple(classes))
         for name in ("n_queries", "embed_dim", "frame_height", "frame_width", "version"):
             object.__setattr__(self, name, require_int(getattr(self, name), name))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError
 from .model import VideoStream
-from .tracker import TrackingOutput, track_table
+from .tracker import FrameAssignments, TrackingOutput, assigned_slots
 
 _COLUMNS = ("ID", "Type", "Conf", "Fr.Ct.", "1st.Fr.", "Last Fr.")
 
@@ -36,25 +36,39 @@ class ExamReport:
     config: dict  # keys in sorted order, as rendered
 
 
+def class_means(stream: VideoStream, frames: tuple[FrameAssignments, ...]
+                ) -> dict[int, tuple[float, ...]]:
+    """Each track's mean class distribution over the stream slots it took
+    (joined by tracker.assigned_slots, with its errors), by track id."""
+    probs: dict[int, list[tuple[float, ...]]] = {}
+    for fa, slots in assigned_slots(stream, frames):
+        for (_, track_id), query in zip(fa.assignments, slots):
+            probs.setdefault(track_id, []).append(query.classes.probs)
+    return {track_id: tuple(np.asarray(rows, dtype=np.float64).mean(axis=0).tolist())
+            for track_id, rows in probs.items()}
+
+
 def generate_report(tracking: TrackingOutput, stream: VideoStream,
                     min_frames: int = 1) -> ExamReport:
     """Summarize every track with at least min_frames observations.
 
-    The rows come from the tracking's per-frame assignments joined with the
-    stream, as the tracker builds its track table.
+    Each row's span comes from the tracking's track table, and its type and
+    confidence from class_means; a tracks file's copy of the means is unread.
     """
     if min_frames < 1:
         raise DataError(f"min_frames must be >= 1, got {min_frames}")
     classes = stream.header.classes
+    means = class_means(stream, tracking.frames)
     entries = []
-    for track in track_table(stream, tracking.frames):
+    for track in tracking.tracks:
         if track.frame_count < min_frames:
             continue
-        best = int(np.argmax(track.mean_probs))
+        mean = means[track.track_id]
+        best = int(np.argmax(mean))
         entries.append(PolypReportEntry(
             polyp_id=track.track_id,
             polyp_type=classes[best],
-            confidence=track.mean_probs[best],
+            confidence=mean[best],
             frame_count=track.frame_count,
             first_frame=track.first_frame,
             last_frame=track.last_frame,

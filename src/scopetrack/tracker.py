@@ -5,14 +5,14 @@ Live tracks keep their last embedding as a matching candidate while they
 ride out empty matches, which realizes carry-forward without growing the
 cost matrix; a track dies once its empty streak exceeds the patience.
 State holds the live tracks only: the per-frame assignments are the one
-record of which track held which slot, and the track table is built from
-them once the fold is done.
+record of which track held which slot, and the output reads its track
+table off them. Class means are the report's (report.class_means).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -74,8 +74,7 @@ class FrameAssignments:
 @dataclass(frozen=True)
 class TrackSummary:
     track_id: int
-    observations: tuple[tuple[int, int], ...]
-    mean_probs: tuple[float, ...]
+    observations: tuple[tuple[int, int], ...]  # (frame index, slot), in frame order
 
     @property
     def first_frame(self) -> int:
@@ -90,11 +89,24 @@ class TrackSummary:
         return len(self.observations)
 
 
+def track_table(frames: Sequence[FrameAssignments]) -> tuple[TrackSummary, ...]:
+    """Each track's (frame index, slot) observations in frame order, by track id."""
+    observations: dict[int, list[tuple[int, int]]] = {}
+    for fa in frames:
+        for slot, track_id in fa.assignments:
+            observations.setdefault(track_id, []).append((fa.frame_index, slot))
+    return tuple(TrackSummary(track_id, tuple(observations[track_id]))
+                 for track_id in sorted(observations))
+
+
 @dataclass(frozen=True)
 class TrackingOutput:
     frames: tuple[FrameAssignments, ...]
-    tracks: tuple[TrackSummary, ...]
+    tracks: tuple[TrackSummary, ...] = field(init=False)  # read off frames once, when built
     config: dict  # keys in sorted order, as written
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tracks", track_table(self.frames))
 
 
 def _normalized_rows(mat: np.ndarray) -> np.ndarray:
@@ -197,34 +209,6 @@ def assigned_slots(stream: VideoStream, frames: Sequence[FrameAssignments]
         yield fa, tuple(slots[slot] for slot, _ in fa.assignments)
 
 
-def track_observations(frames: Sequence[FrameAssignments]
-                       ) -> dict[int, tuple[tuple[int, int], ...]]:
-    """Each track's (frame index, slot) observations in frame order, by track id."""
-    observations: dict[int, list[tuple[int, int]]] = {}
-    for fa in frames:
-        for slot, track_id in fa.assignments:
-            observations.setdefault(track_id, []).append((fa.frame_index, slot))
-    return {track_id: tuple(observations[track_id]) for track_id in sorted(observations)}
-
-
-def track_table(stream: VideoStream,
-                frames: Sequence[FrameAssignments]) -> tuple[TrackSummary, ...]:
-    """Per-track observations and mean class probabilities, by track id."""
-    probs: dict[int, list[tuple[float, ...]]] = {}
-    for fa, slots in assigned_slots(stream, frames):
-        for (_, track_id), query in zip(fa.assignments, slots):
-            probs.setdefault(track_id, []).append(query.classes.probs)
-    return tuple(
-        TrackSummary(
-            track_id=track_id,
-            observations=observations,
-            mean_probs=tuple(float(x) for x in np.asarray(
-                probs[track_id], dtype=np.float64).mean(axis=0)),
-        )
-        for track_id, observations in track_observations(frames).items()
-    )
-
-
 def _run(stream: VideoStream, cfg: TrackerConfig, scorer: Callable,
          floor: float | None, config: dict) -> TrackingOutput:
     violations = validate_stream(stream)
@@ -237,7 +221,6 @@ def _run(stream: VideoStream, cfg: TrackerConfig, scorer: Callable,
         frames.append(out)
     return TrackingOutput(
         frames=tuple(frames),
-        tracks=track_table(stream, frames),
         config=dict(sorted({**asdict(cfg), **config}.items())),
     )
 

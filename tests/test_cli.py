@@ -166,6 +166,27 @@ class TestReportCli:
         assert obj["config"]["min_frames"] == 2
         assert len(obj["entries"]) == 3
 
+    def test_table_mean_probs_are_not_read(self, tmp_path, capsysbinary):
+        """A tracks file whose table holds other finite means reads, and reports the same."""
+        _, pred_path = synth_files(tmp_path)
+        tracks, edited = tmp_path / "tracks.jsonl", tmp_path / "edited.jsonl"
+        assert run(["track", "--in", str(pred_path), "--out", str(tracks)]) == 0
+        lines = [json.loads(line) for line in tracks.read_text().splitlines()]
+        for row in lines[-1]["track_table"]:
+            row["mean_probs"] = [1.0 - p for p in reversed(row["mean_probs"])]
+        edited.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert edited.read_bytes() != tracks.read_bytes()
+        io.read_tracking(edited)
+        capsysbinary.readouterr()
+        outs = {}
+        for path in (tracks, edited):
+            for fmt in ("text", "json"):
+                assert run(["report", "--tracks", str(path), "--stream", str(pred_path),
+                            "--format", fmt]) == 0
+                outs[path, fmt] = capsysbinary.readouterr().out
+        assert outs[tracks, "text"] == outs[edited, "text"]
+        assert outs[tracks, "json"] == outs[edited, "json"]
+
 
 class TestSynthCli:
     def test_writes_both_files(self, tmp_path, capsys):
@@ -290,6 +311,38 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert "2 ground-truth objects but only 1 query slots" in err
+
+    @pytest.mark.parametrize("command", ["track", "eval-det", "loss-check", "report",
+                                         "eval-track"])
+    def test_repeated_class_names_rejected(self, tmp_path, capsys, command):
+        """One slot, [0.1, 0.8], on one AD object's box, under classes [AD, AD]."""
+        header = {"version": 1, "n_queries": 1, "embed_dim": 2, "frame_height": 64,
+                  "frame_width": 64, "classes": ["AD", "HP"]}
+        box = [0.0, 0.0, 10.0, 10.0]
+        slot = {"embedding": [1.0, 0.0], "box": box, "probs": [0.1, 0.8]}
+        obj = {"gt_track_id": 0, "box": box, "class": "AD"}
+        pred_path, gt_path = tmp_path / "pred.jsonl", tmp_path / "gt.jsonl"
+        tracks = tmp_path / "tracks.jsonl"
+        for path, frame in ((pred_path, {"frame_index": 0, "slots": [slot]}),
+                            (gt_path, {"frame_index": 0, "objects": [obj]})):
+            path.write_text(json.dumps(header) + "\n" + json.dumps(frame) + "\n")
+        assert run(["track", "--in", str(pred_path), "--out", str(tracks)]) == 0
+        for path in (pred_path, gt_path):
+            _rewrite_line(path, 1, lambda h: h.__setitem__("classes", ["AD", "AD"]))
+        capsys.readouterr()
+        argv = {
+            "track": ["track", "--in", str(pred_path), "--out", str(tracks)],
+            "eval-det": ["eval-det", "--pred", str(pred_path), "--gt", str(gt_path)],
+            "loss-check": ["loss-check", "--pred", str(pred_path), "--gt", str(gt_path)],
+            "report": ["report", "--tracks", str(tracks), "--stream", str(pred_path)],
+            "eval-track": ["eval-track", "--pred", str(tracks), "--gt", str(gt_path)],
+        }[command]
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        read = gt_path if command == "eval-track" else pred_path
+        assert f"{read}:1: classes must not repeat a class, got ['AD', 'AD']" in err
 
     def test_misaligned_frames_exit_two(self, tmp_path, capsys):
         gt_path, pred_path = synth_files(tmp_path, scenario="static")
@@ -588,6 +641,7 @@ _BAD_INPUTS = {
     "weight_nan": _weights_file('{"w_cls": NaN}'),
     "video_id_list": _stream_edit(1, lambda h: h.__setitem__("video_id", ["x"])),
     "classes_string": _stream_edit(1, lambda h: h.__setitem__("classes", "AD")),
+    "classes_repeated": _stream_edit(1, lambda h: h.__setitem__("classes", ["AD", "AD"])),
     "gt_class_integer": _gt_class_integer,
     "config_patience_zero": _config_file('{"patience": 0}', "error: patience"),
     "config_patience_boolean": _config_file('{"patience": true}', "error: patience"),

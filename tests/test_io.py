@@ -130,8 +130,12 @@ class TestMalformedFiles:
             dict(lines[-1]["track_table"][0], frame_count=999)]), "track table disagrees"),
         (lambda lines: lines[-1]["track_table"][0].__setitem__("last_frame", 0),
          "track table disagrees"),
+        (lambda lines: lines[-1].__setitem__("config", []), "malformed track table"),
+        (lambda lines: (lines[-1].__setitem__("config", []),
+                        lines[-1]["track_table"][0].__setitem__("last_frame", 0)),
+         "track table disagrees"),
     ], ids=["repeated_track_id", "repeated_slot", "frames_out_of_order", "table_cut",
-            "table_row_wrong"])
+            "table_row_wrong", "config_not_object", "table_row_wrong_before_config"])
     def test_tracks_checked_on_read(self, tmp_path, bundle, edit, message):
         _, pred = bundle
         path = tmp_path / "tracks.jsonl"

@@ -8,10 +8,11 @@ import pytest
 
 from conftest import make_empty_slot, make_slot, make_stream, unit_vec
 from scopetrack import synth
-from scopetrack.errors import DataError
+from scopetrack.errors import DataError, FrameAlignmentError
 from scopetrack.report import (
     ExamReport,
     PolypReportEntry,
+    class_means,
     generate_report,
     render_report,
 )
@@ -188,3 +189,46 @@ class TestRender:
         report = generate_report(tracking, stream)
         with pytest.raises(DataError):
             render_report(report, "yaml")
+
+
+class TestClassMeans:
+    """class_means equals, bit for bit, the mean over each track's stream slots written out."""
+
+    @pytest.mark.parametrize("masks", [False, True], ids=["boxes", "masks"])
+    @pytest.mark.parametrize("seed", (1, 2))
+    @pytest.mark.parametrize("name", synth.SCENARIO_NAMES)
+    def test_bitwise_equal_to_mean_expression(self, name, seed, masks):
+        cfg = dataclasses.replace(synth.scenario_config(name, seed), with_masks=masks)
+        self.check(synth.generate(cfg)[1])
+
+    @pytest.mark.parametrize("seed", range(1, 4))
+    def test_varying_probabilities(self, seed):
+        # synth keeps each object's probabilities fixed; redraw them per slot
+        rng = np.random.default_rng(seed)
+        stream = synth.generate(synth.scenario_config("occlusion", seed))[1]
+        self.check(VideoStream(header=stream.header, frames=tuple(
+            FramePrediction(f.frame_index, tuple(
+                dataclasses.replace(s, classes=ClassDistribution(
+                    tuple(float(p) for p in rng.dirichlet((1.0, 1.0, 0.3))[:2])))
+                for s in f.slots))
+            for f in stream.frames)))
+
+    @staticmethod
+    def check(stream):
+        by_frame = {f.frame_index: f for f in stream.frames}
+        for tracking in (track_video(stream), iou_baseline_track(stream)):
+            means = class_means(stream, tracking.frames)
+            assert sorted(means) == [t.track_id for t in tracking.tracks]
+            for track in tracking.tracks:
+                probs = [by_frame[f].slots[slot].classes.probs for f, slot in track.observations]
+                expected = tuple(float(x) for x in np.asarray(
+                    probs, dtype=np.float64).mean(axis=0))
+                assert [x.hex() for x in means[track.track_id]] == [x.hex() for x in expected]
+
+    def test_frame_missing_from_stream(self, header):
+        stream, tracking = tracked_stream(header, [(0.8, 0.1), (0.9, 0.1)])
+        truncated = VideoStream(header=stream.header, frames=stream.frames[:1])
+        with pytest.raises(FrameAlignmentError, match="tracked frame 1 missing from stream"):
+            class_means(truncated, tracking.frames)
+        with pytest.raises(FrameAlignmentError, match="tracked frame 1 missing from stream"):
+            generate_report(tracking, truncated)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_empty_slot, make_slot, make_stream, unit_vec
+from scopetrack import io, synth
 from scopetrack.errors import DataError
 from scopetrack.model import (
     FramePrediction,
@@ -13,7 +14,9 @@ from scopetrack.model import (
 )
 from scopetrack.tracker import (
     TrackerConfig,
+    TrackingOutput,
     TrackState,
+    TrackSummary,
     iou_baseline_track,
     step,
     track_video,
@@ -468,3 +471,36 @@ class TestReferenceIouTrackerOracle:
             floor_mattered += reference_iou_tracker(stream, 0.0)[0] != want_frames
         # the data must reach the floor, or the floor comparison goes untested
         assert floor_mattered >= 12
+
+
+def loop_table(frames):
+    """The track table, built by one loop over the per-frame assignments."""
+    rows = {}
+    for fa in frames:
+        for slot, track_id in fa.assignments:
+            rows.setdefault(track_id, []).append((fa.frame_index, slot))
+    return tuple(TrackSummary(track_id, tuple(rows[track_id])) for track_id in sorted(rows))
+
+
+class TestTrackTable:
+    """A tracking's track table is read off its frames, whatever built it."""
+
+    @pytest.mark.parametrize("seed", (1, 2))
+    @pytest.mark.parametrize("name", synth.SCENARIO_NAMES)
+    def test_tracks_equal_loop_over_frames(self, tmp_path, name, seed):
+        stream = synth.generate(synth.scenario_config(name, seed))[1]
+        for tracking in (track_video(stream), iou_baseline_track(stream)):
+            path = tmp_path / "tracks.jsonl"
+            io.write_tracking(tracking, stream, path)
+            from_file, _ = io.read_tracking(path)
+            for output in (tracking, from_file):
+                assert output.tracks
+                assert output.tracks == loop_table(output.frames)
+                for track in output.tracks:
+                    frames = [f for f, _ in track.observations]
+                    assert (track.first_frame, track.last_frame, track.frame_count) == (
+                        min(frames), max(frames), len(frames))
+
+    def test_tracks_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            TrackingOutput(frames=(), tracks=(), config={})
