@@ -4,8 +4,11 @@ solve() is a Hungarian solver in the potentials / shortest-augmenting-path
 formulation, handling rectangular matrices natively. Among cost-tied optima
 it returns the row-major lexicographically smallest pair set. It is exact
 for every finite input, int or float of any magnitude: it compares exact
-integer sums, never rounded ones. brute_force_solve() is the independent
-enumeration oracle with the same contract.
+integer sums, never rounded ones. When each row's minimum is strict and in
+a column of its own (by columns when rows > cols), those minima are the
+unique optimum and solve() returns them without the grid or the Hungarian.
+brute_force_solve() is the independent enumeration oracle with the same
+contract.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ class CostMatrix:
         for row in rows:
             if len(row) != width:
                 raise DataError("cost matrix rows have unequal lengths")
-            for v in row:
-                if not math.isfinite(v):
-                    raise DataError(f"cost matrix entry is not finite: {v!r}")
+            if not all(map(math.isfinite, row)):  # one C-level pass per row
+                bad = next(v for v in row if not math.isfinite(v))
+                raise DataError(f"cost matrix entry is not finite: {bad!r}")
 
     @property
     def rows(self) -> int:
@@ -74,8 +77,7 @@ def _hungarian(a: Sequence[Sequence[int]], n_rows: int, n_cols: int) -> list[int
 
     Requires n_rows <= n_cols. Each row in turn is joined to the matching
     by a shortest alternating path in reduced costs; the potentials are
-    updated once per path. Returns the row matched to each column, -1 for
-    a free column.
+    updated once per path. Returns the column matched to each row.
     """
     u = [0] * n_rows
     v = [0] * n_cols
@@ -116,7 +118,22 @@ def _hungarian(a: Sequence[Sequence[int]], n_rows: int, n_cols: int) -> list[int
             col4row[i], j = j, col4row[i]
             if i == start:
                 break
-    return row4col
+    return col4row
+
+
+def _strict_minima(lines: Sequence[Sequence[float]]) -> list[int] | None:
+    """Where each line takes its minimum, if each minimum occurs once in its
+    line and no two lines take theirs at the same place; else None.
+
+    Entries compare with ==, so -0.0 and 0.0, or 1 and 1.0, tie.
+    """
+    picks: list[int] = []
+    for line in lines:
+        low = min(line)
+        if line.count(low) > 1:
+            return None
+        picks.append(line.index(low))
+    return picks if len(set(picks)) == len(picks) else None
 
 
 def _tie_broken_costs(values: Sequence[Sequence[float]], n_rows: int, n_cols: int
@@ -144,17 +161,28 @@ def _tie_broken_costs(values: Sequence[Sequence[float]], n_rows: int, n_cols: in
 
 
 def solve(m: CostMatrix) -> Assignment:
-    """Globally minimal assignment with a deterministic lexicographic tie-break."""
+    """Globally minimal assignment with a deterministic lexicographic tie-break.
+
+    Call the shorter side's entries lines (rows when rows <= cols, else
+    columns). When each line's minimum is strict and no two lines take
+    theirs at the same place, matching every line to its minimum is the
+    optimum, and the only one: any other matching of the same size puts
+    some line above its minimum, so its exact sum is strictly larger. The
+    tie-break then has nothing to choose, and those pairs are returned
+    without the grid or the Hungarian. Otherwise the Hungarian solves the
+    tie-broken grid.
+    """
     n_rows, n_cols = m.rows, m.cols
     if min(n_rows, n_cols) == 0:
         return Assignment(pairs=(), total_cost=0.0)
-    a = _tie_broken_costs(m.values, n_rows, n_cols)
-    if n_rows <= n_cols:
-        col_to_row = _hungarian(a, n_rows, n_cols)
-        pairs = tuple(sorted((r, c) for c, r in enumerate(col_to_row) if r >= 0))
-    else:
-        row_to_col = _hungarian(list(zip(*a)), n_cols, n_rows)
-        pairs = tuple((r, c) for r, c in enumerate(row_to_col) if c >= 0)
+    wide = n_rows <= n_cols
+    lines = m.values if wide else tuple(zip(*m.values))
+    picks = _strict_minima(lines)
+    if picks is None:
+        a = _tie_broken_costs(m.values, n_rows, n_cols)
+        picks = _hungarian(a if wide else list(zip(*a)), len(lines), len(lines[0]))
+    pairs = (tuple(enumerate(picks)) if wide
+             else tuple(sorted((r, c) for c, r in enumerate(picks))))
     return Assignment(pairs=pairs, total_cost=_pair_cost(m.values, pairs))
 
 

@@ -148,9 +148,10 @@ def _pair(gt: TrackedSequence, pred: TrackedSequence):
     """The frame pairing HOTA, MOTA and IDF1 share.
 
     Returns (gt_counts, pred_counts, frames): the detections per dense track
-    id of each side, and per frame the dense gt ids, the dense pred ids and
-    the similarity matrix between those detections. The matrices are
-    read-only, as every metric reads the same ones.
+    id of each side, and per frame the (dense gt ids, dense pred ids) lists,
+    their np.ix_ index grid and the similarity matrix between those
+    detections. The matrices are read-only, as every metric reads the same
+    ones.
     """
     check_frame_alignment("ground-truth", gt.frame_indices,
                           "predicted", pred.frame_indices)
@@ -160,8 +161,8 @@ def _pair(gt: TrackedSequence, pred: TrackedSequence):
     for gf, pf in zip(gt.frames, pred.frames):
         sims = _sim_matrix(gf, pf)
         sims.flags.writeable = False
-        frames.append(([gt_index[d.track_id] for d in gf],
-                       [pr_index[d.track_id] for d in pf], sims))
+        g, p = [gt_index[d.track_id] for d in gf], [pr_index[d.track_id] for d in pf]
+        frames.append(((g, p), np.ix_(g, p), sims))
     return gt_counts, pr_counts, frames
 
 
@@ -198,10 +199,9 @@ def _hota_components(pairing):
     # (gt/pred id index grid, sims) of each frame with detections on both sides
     frames = []
     potential = np.zeros((n_g, n_p), dtype=np.float64)
-    for g, p, sims in paired:
+    for _, ids, sims in paired:
         if not sims.size:
             continue
-        ids = np.ix_(g, p)
         denom = sims.sum(axis=1, keepdims=True) + sims.sum(axis=0, keepdims=True) - sims
         jac = np.divide(sims, denom, out=np.zeros_like(sims), where=denom > ALPHA_MARGIN)
         # unbuffered and in row-major pair order, like an explicit double loop
@@ -275,7 +275,7 @@ def _mota(pairing, alpha: float) -> float:
     fn = fp = idsw = 0
     prev_match: dict[int, int] = {}  # gt id -> pred id in previous frame
     last_match: dict[int, int] = {}  # gt id -> last matched pred id ever
-    for gt_ids, pr_ids, sims in frames:
+    for (gt_ids, pr_ids), _, sims in frames:
         matched_g: set[int] = set()
         matched_p: set[int] = set()
         pairs: list[tuple[int, int]] = []
@@ -321,8 +321,8 @@ def _idf1(pairing, alpha: float) -> float:
     if total_gt + total_pred == 0:
         return 1.0
     overlap = np.zeros((len(gt_counts), len(pr_counts)), dtype=np.int64)
-    for g, p, sims in frames:
-        np.add.at(overlap, np.ix_(g, p), sims >= alpha - ALPHA_MARGIN)
+    for _, ids, sims in frames:
+        np.add.at(overlap, ids, sims >= alpha - ALPHA_MARGIN)
     result = assignment.solve(assignment.CostMatrix((-overlap).tolist()))
     idtp = sum(int(overlap[r, c]) for r, c in result.pairs)
     return 2.0 * idtp / (total_gt + total_pred)

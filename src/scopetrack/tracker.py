@@ -1,12 +1,15 @@
 """Unsupervised per-frame query association with carry-forward and the
 IoU-overlap baseline tracker.
 
-Live tracks keep their last embedding as a matching candidate while they
-ride out empty matches, which realizes carry-forward without growing the
-cost matrix; a track dies once its empty streak exceeds the patience.
-State holds the live tracks only: the per-frame assignments are the one
-record of which track held which slot, and the output reads its track
-table off them. Class means are the report's (report.class_means).
+Live tracks keep the key of the slot they last took as a matching
+candidate while they ride out empty matches, which realizes carry-forward
+without growing the cost matrix; a track dies once its empty streak
+exceeds the patience. The query tracker's key is the slot's unit
+embedding row, normalized once with the rest of its frame and carried to
+the next steps as is; the baseline's key is the slot. State holds the
+live tracks only: the per-frame assignments are the one record of which
+track held which slot, and the output reads its track table off them.
+Class means are the report's (report.class_means).
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ class TrackerConfig:
 @dataclass(frozen=True)
 class TrackRecord:
     track_id: int
-    last: QuerySlot  # the slot the track last took
+    # the key of the slot the track last took: the bytes of its float64 unit
+    # embedding row (query tracker) or the QuerySlot itself (IoU baseline)
+    key: bytes | QuerySlot
     empty_streak: int = 0
 
 
@@ -109,48 +114,72 @@ class TrackingOutput:
         object.__setattr__(self, "tracks", track_table(self.frames))
 
 
-def _normalized_rows(mat: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    out = np.zeros_like(mat)
-    ok = norms[:, 0] >= _ZERO_NORM
-    out[ok] = mat[ok] / norms[ok]
-    return out
+def _unit_keys(slots: Sequence[QuerySlot]) -> list[bytes]:
+    """Each slot's unit embedding row, as the bytes of its float64 values.
+
+    numpy reduces each row of the matrix on its own, so a row's bits do not
+    depend on the frame it sits in. A row with norm below _ZERO_NORM is all
+    zeros. Cosine does not depend on scale, so a row whose squared norm
+    overflows is divided by its largest |value| first; no other row changes.
+    Each key is a copy: a track that keeps one pins no frame's matrix.
+    """
+    mat = np.asarray([s.embedding for s in slots], dtype=np.float64)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    if np.inf in norms:
+        huge = norms[:, 0] == np.inf
+        mat[huge] /= np.abs(mat[huge]).max(axis=1, keepdims=True)
+        norms[huge] = np.linalg.norm(mat[huge], axis=1, keepdims=True)
+    unit = np.divide(mat, norms, out=np.zeros_like(mat), where=norms >= _ZERO_NORM)
+    return [row.tobytes() for row in unit]
 
 
-def _query_scores(live, slots, nonempty):
+def _query_scores(live: Sequence[bytes], frame: Sequence[bytes], nonempty):
     """Cosine against every slot, empty ones included."""
-    prev = np.asarray([t.last.embedding for t in live], dtype=np.float64)
-    curr = np.asarray([s.embedding for s in slots], dtype=np.float64)
+    prev, curr = (np.frombuffer(b"".join(keys)).reshape(len(keys), -1)
+                  for keys in (live, frame))
     if prev.shape[1] != curr.shape[1]:
         raise DataError(f"embedding dims differ: {prev.shape[1]} vs {curr.shape[1]}")
-    sims = _normalized_rows(prev) @ _normalized_rows(curr).T
+    sims = prev @ curr.T
     np.clip(sims, -1.0, 1.0, out=sims)
-    return list(range(len(slots))), sims
+    return list(range(len(frame))), sims
 
 
-def _iou_scores(live, slots, nonempty):
+def _iou_scores(live: Sequence[QuerySlot], slots: Sequence[QuerySlot], nonempty):
     """Box (or mask) overlap against the non-empty slots."""
     return nonempty, np.array(
-        [[similarity(t.last, slots[j]) for j in nonempty] for t in live],
+        [[similarity(last, slots[j]) for j in nonempty] for last in live],
         dtype=np.float64,
     )
 
 
+# A scorer is (keys, scores): keys(slots) gives what a track that takes each
+# slot keeps (the baseline keeps the slot itself), and scores(live keys,
+# frame keys, nonempty) the candidate slot columns and a live x columns
+# score matrix, higher being better.
+_QUERY = (_unit_keys, _query_scores)
+_IOU = (tuple, _iou_scores)
+
+
 def _advance(state: TrackState, frame: FramePrediction, cfg: TrackerConfig,
-             scorer: Callable, floor: float | None) -> tuple[TrackState, FrameAssignments]:
+             scorer: tuple[Callable, Callable], floor: float | None
+             ) -> tuple[TrackState, FrameAssignments]:
     """Match, age, retire and birth: the scaffold shared by both trackers.
 
-    scorer(live, slots, nonempty) gives the candidate slot columns and a
-    live x columns score matrix, higher being better. A live track takes
-    its matched slot when the slot is non-empty and the score reaches the
-    floor (no floor: any score); otherwise its empty streak grows.
-    Unclaimed non-empty slots start new tracks in slot order.
+    A live track takes its matched slot, and that slot's key, when the slot
+    is non-empty and the score reaches the floor (no floor: any score);
+    otherwise its empty streak grows. Unclaimed non-empty slots start new
+    tracks in slot order. The frame's keys are computed only when a live
+    track or a birth needs them.
     """
+    keys_of, scores_of = scorer
     slots = frame.slots
     nonempty = [j for j, s in enumerate(slots) if not s.is_empty(cfg.empty_threshold)]
+    scoring = bool(state.live and slots)
+    keys = keys_of(slots) if scoring or nonempty else ()
     matched: dict[int, int] = {}
-    if state.live and slots:
-        cols, scores = scorer(state.live, slots, nonempty)
+    if scoring:
+        cols, scores = scores_of([t.key for t in state.live], keys, nonempty)
         if cols:
             cost = assignment.CostMatrix((-scores).tolist())
             matched = dict(assignment.solve(cost).pairs)
@@ -162,7 +191,7 @@ def _advance(state: TrackState, frame: FramePrediction, cfg: TrackerConfig,
         col = matched.get(i)
         j = cols[col] if col is not None else None
         if j in nonempty and (floor is None or scores[i, col] >= floor):
-            survivors.append(TrackRecord(track.track_id, slots[j]))
+            survivors.append(TrackRecord(track.track_id, keys[j]))
             taken[j] = track.track_id
         elif track.empty_streak < patience:
             survivors.append(replace(track, empty_streak=track.empty_streak + 1))
@@ -170,7 +199,7 @@ def _advance(state: TrackState, frame: FramePrediction, cfg: TrackerConfig,
     next_id = state.next_id
     for j in nonempty:
         if j not in taken:
-            survivors.append(TrackRecord(next_id, slots[j]))
+            survivors.append(TrackRecord(next_id, keys[j]))
             taken[j] = next_id
             next_id += 1
 
@@ -184,7 +213,7 @@ def _advance(state: TrackState, frame: FramePrediction, cfg: TrackerConfig,
 def step(state: TrackState, frame: FramePrediction,
          cfg: TrackerConfig = TrackerConfig()) -> tuple[TrackState, FrameAssignments]:
     """Advance query-space tracking by one frame; state is never mutated."""
-    return _advance(state, frame, cfg, _query_scores, cfg.similarity_floor)
+    return _advance(state, frame, cfg, _QUERY, cfg.similarity_floor)
 
 
 def assigned_slots(stream: VideoStream, frames: Sequence[FrameAssignments]
@@ -209,7 +238,7 @@ def assigned_slots(stream: VideoStream, frames: Sequence[FrameAssignments]
         yield fa, tuple(slots[slot] for slot, _ in fa.assignments)
 
 
-def _run(stream: VideoStream, cfg: TrackerConfig, scorer: Callable,
+def _run(stream: VideoStream, cfg: TrackerConfig, scorer: tuple[Callable, Callable],
          floor: float | None, config: dict) -> TrackingOutput:
     violations = validate_stream(stream)
     if violations:
@@ -227,12 +256,12 @@ def _run(stream: VideoStream, cfg: TrackerConfig, scorer: Callable,
 
 def track_video(stream: VideoStream, cfg: TrackerConfig = TrackerConfig()) -> TrackingOutput:
     """Fold step() over the whole stream."""
-    return _run(stream, cfg, _query_scores, cfg.similarity_floor,
+    return _run(stream, cfg, _QUERY, cfg.similarity_floor,
                 {"algorithm": "query"})
 
 
 def iou_baseline_track(stream: VideoStream, iou_floor: float = 0.1,
                        cfg: TrackerConfig = TrackerConfig()) -> TrackingOutput:
     """Heuristic baseline: associate detections by box (or mask) overlap."""
-    return _run(stream, cfg, _iou_scores, iou_floor,
+    return _run(stream, cfg, _IOU, iou_floor,
                 {"algorithm": "iou_baseline", "iou_floor": iou_floor})

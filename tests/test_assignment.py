@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scopetrack import assignment
 from scopetrack.assignment import Assignment, CostMatrix, brute_force_solve, solve
 from scopetrack.errors import DataError, InstanceTooLargeError
 
@@ -257,3 +260,86 @@ class TestScipyCrossCheck:
             assert len(got.pairs) == min(shape)
             assert got.total_cost == pytest.approx(float(vals[rows, cols].sum()),
                                                    rel=1e-12, abs=1e-9)
+
+
+# Value pools for the strict-minima exit: ints, one-decimal floats, the
+# mixed-magnitude pool, and all three at once (so 1 and 1.0 both occur).
+INTS = tuple(range(-20, 21))
+ONE_DECIMAL = tuple(k / 10 for k in range(-20, 21))
+EXIT_POOLS = (INTS, ONE_DECIMAL, MIXED_MAGNITUDES, INTS + ONE_DECIMAL + MIXED_MAGNITUDES)
+
+
+@st.composite
+def strict_minima_matrix(draw):
+    """A matrix whose lines (rows when rows <= cols, else columns) each take
+    a strict minimum at a place no other line takes; the other entries of a
+    line may tie among themselves."""
+    pool = draw(st.sampled_from(EXIT_POOLS))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    short, long = min(rows, cols), max(rows, cols)
+    places = draw(st.permutations(range(long)))[:short]
+    lows = sorted(v for v in pool if any(w > v for w in pool))
+    lines = []
+    for place in places:
+        low = draw(st.sampled_from(lows))
+        line = draw(st.lists(st.sampled_from([v for v in pool if v > low]),
+                             min_size=long, max_size=long))
+        line[place] = low
+        lines.append(tuple(line))
+    return CostMatrix(tuple(lines) if rows <= cols else tuple(zip(*lines)))
+
+
+def spied_solve(m: CostMatrix):
+    """solve(m), with the number of _hungarian calls it made."""
+    with mock.patch.object(assignment, "_hungarian", wraps=assignment._hungarian) as spy:
+        got = solve(m)
+    return got, spy.call_count
+
+
+# Each breaks the exit in one way: a minimum tied between -0.0 and 0.0, a
+# minimum tied between 1 and 1.0, or two rows whose minima share a column.
+NEAR_MISSES = {
+    "signed_zero_tie": ((-0.0, 0.0, 1.0), (1.0, 2.0, 0.5)),
+    "int_float_tie": ((1, 1.0, 3), (4, 5, 2)),
+    "shared_column": ((0, 5, 6), (1, 7, 8)),
+    "one_row_tie": ((2, 1, 1.0, 3),),
+}
+
+
+def transposed(values):
+    return tuple(zip(*values))
+
+
+class TestStrictMinimaExit:
+    @given(strict_minima_matrix())
+    @settings(max_examples=400, deadline=None)
+    def test_exit_agrees_with_oracle(self, m):
+        got, hungarian_calls = spied_solve(m)
+        want = brute_force_solve(m)
+        assert hungarian_calls == 0
+        assert got.pairs == want.pairs
+        assert got.total_cost == want.total_cost
+
+    @pytest.mark.parametrize("values", [
+        ((0, 9, 9), (9, 0, 9)),
+        transposed(((0, 9, 9), (9, 0, 9))),
+        ((3, -1.5, 7),),
+        transposed(((3, -1.5, 7),)),
+        ((-0.0, 1e300), (5e-324, -1e-300)),
+    ])
+    def test_exit_skips_hungarian(self, values):
+        m = CostMatrix(values)
+        got, hungarian_calls = spied_solve(m)
+        assert hungarian_calls == 0
+        assert got == brute_force_solve(m)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("name", sorted(NEAR_MISSES))
+    def test_near_miss_takes_full_path(self, name, transpose):
+        values = NEAR_MISSES[name]
+        m = CostMatrix(transposed(values) if transpose else values)
+        got, hungarian_calls = spied_solve(m)
+        want = brute_force_solve(m)
+        assert hungarian_calls == 1
+        assert got.pairs == want.pairs
+        assert got.total_cost == want.total_cost

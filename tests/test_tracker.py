@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_empty_slot, make_slot, make_stream, unit_vec
 from scopetrack import io, synth
@@ -504,3 +508,111 @@ class TestTrackTable:
     def test_tracks_is_not_an_argument(self):
         with pytest.raises(TypeError):
             TrackingOutput(frames=(), tracks=(), config={})
+
+
+def renormalizing_fold(frames, cfg=TrackerConfig()):
+    """The query tracker's assignments when every step re-normalizes each
+    live track's last embedding, as the tracker did before it carried unit
+    rows: the same formula, written out, with the enumeration solver."""
+    from scopetrack.assignment import CostMatrix, brute_force_solve
+
+    def normalized_rows(mat):
+        norms = np.linalg.norm(mat, axis=1, keepdims=True)
+        out = np.zeros_like(mat)
+        ok = norms[:, 0] >= 1e-12
+        out[ok] = mat[ok] / norms[ok]
+        return out
+
+    patience = cfg.death_patience if cfg.carry_forward else 0
+    live = []  # (track_id, last embedding, empty streak)
+    next_id = 0
+    per_frame = []
+    for frame in frames:
+        slots = frame.slots
+        nonempty = [j for j, s in enumerate(slots) if not s.is_empty(cfg.empty_threshold)]
+        matched = {}
+        if live and slots:
+            prev = np.asarray([emb for _, emb, _ in live], dtype=np.float64)
+            curr = np.asarray([s.embedding for s in slots], dtype=np.float64)
+            sims = normalized_rows(prev) @ normalized_rows(curr).T
+            np.clip(sims, -1.0, 1.0, out=sims)
+            matched = dict(brute_force_solve(CostMatrix((-sims).tolist())).pairs)
+        taken, survivors = {}, []
+        for i, (track_id, emb, streak) in enumerate(live):
+            j = matched.get(i)
+            if j in nonempty:
+                survivors.append((track_id, slots[j].embedding, 0))
+                taken[j] = track_id
+            elif streak < patience:
+                survivors.append((track_id, emb, streak + 1))
+        for j in nonempty:
+            if j not in taken:
+                survivors.append((next_id, slots[j].embedding, 0))
+                taken[j] = next_id
+                next_id += 1
+        live = survivors
+        per_frame.append(tuple(sorted(taken.items())))
+    return per_frame
+
+
+@st.composite
+def embedding_frames(draw, dim=3):
+    """Up to 10 frames of up to 3 slots. Embeddings come from a small palette,
+    so rows repeat, and the palette holds a zero row and magnitudes up to
+    1e150 either way."""
+    value = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)
+    palette = draw(st.lists(st.tuples(*[value] * dim), min_size=1, max_size=4))
+    palette.append((0.0,) * dim)
+    slot = st.tuples(st.sampled_from(palette), st.booleans()).map(
+        lambda pick: make_slot(pick[0]) if pick[1] else make_empty_slot(pick[0]))
+    frames = draw(st.lists(st.lists(slot, min_size=1, max_size=3), min_size=1, max_size=10))
+    return [FramePrediction(t, tuple(slots)) for t, slots in enumerate(frames)]
+
+
+def fold_steps(frames, cfg=TrackerConfig()):
+    state, out = TrackState(), []
+    for frame in frames:
+        state, fa = step(state, frame, cfg)
+        out.append(fa.assignments)
+    return out
+
+
+class TestCarriedKeys:
+    """Each live track carries the unit row of the slot it took."""
+
+    @given(embedding_frames())
+    @settings(max_examples=300, deadline=None)
+    def test_carried_rows_equal_renormalizing(self, frames):
+        assert fold_steps(frames) == renormalizing_fold(frames)
+
+    def test_embedding_width_differs_from_live_tracks(self):
+        state, _ = step(TrackState(), FramePrediction(0, (make_slot(unit_vec(0)),)))
+        with pytest.raises(DataError, match=r"^embedding dims differ: 4 vs 2$"):
+            step(state, FramePrediction(1, (make_slot((1.0, 0.0)), make_slot((0.0, 1.0)))))
+
+    @pytest.mark.parametrize("zero_is_live", [True, False])
+    @pytest.mark.parametrize("zero", [(0.0,) * 4, (1e-13, 0.0, 0.0, 0.0),
+                                      (-1e-13, 0.0, 0.0, 0.0)])
+    def test_zero_embedding_scores_zero(self, zero, zero_is_live):
+        # a score reaches the floor 0.0 and not the floor 5e-324 only when it is 0
+        partners = [unit_vec(0), unit_vec(3), (-1.0, -1.0, -1.0, -1.0),
+                    (3.0, -4.0, 0.0, 0.0), (1e200, 0.0, 0.0, 0.0)]
+        for partner in partners:
+            first, second = (zero, partner) if zero_is_live else (partner, zero)
+            for floor, taken_by in ((0.0, 0), (5e-324, 1)):
+                cfg = TrackerConfig(similarity_floor=floor)
+                state, _ = step(TrackState(), FramePrediction(0, (make_slot(first),)), cfg)
+                _, out = step(state, FramePrediction(1, (make_slot(second),)), cfg)
+                assert out.assignments == ((0, taken_by),), (partner, floor)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 1.7e308])
+    def test_overflowing_norms_follow_embeddings(self, scale):
+        # the squared norm of (1e200, 1e200) overflows; cosine ignores scale
+        a, b = (scale, scale), (scale, -scale)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            state, first = step(TrackState(), FramePrediction(0, (make_slot(a), make_slot(b))))
+            _, second = step(state, FramePrediction(1, (make_slot(b), make_slot(a))))
+        assert first.assignments == ((0, 0), (1, 1))
+        # one comparison, so a failure shows both the assignment and the warnings
+        assert (second.assignments, [str(w.message) for w in caught]) == (((0, 1), (1, 0)), [])
