@@ -13,6 +13,7 @@ from .metrics import (
     eval_mota,
     eval_segmentation,
     evaluate_tracking,
+    pair_frames,
 )
 from .model import (
     BBox,

@@ -165,10 +165,6 @@ def _match_costs(frame: FramePrediction, gt: GroundTruthFrame, w: LossWeights,
     at once, with where for the branches; the hull takes np.maximum/np.minimum
     for Python's max/min, which box_overlaps shows is safe.
     """
-    if header.frame_height <= 0 or header.frame_width <= 0:
-        raise DimensionError(
-            f"frame dimensions must be positive, got {header.frame_height}x{header.frame_width}"
-        )
     cols = [_class_index(obj.class_label, header.classes) for obj in gt.objects]
     probs = [slot.classes.probs for slot in frame.slots]
     prob = np.array([[p[col] for p in probs] for col in cols])

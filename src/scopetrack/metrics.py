@@ -3,7 +3,8 @@
 Tracking metrics follow the published reference procedures: HOTA with the
 two-pass global-alignment matching averaged over a 19-point localization
 threshold grid, CLEAR-style MOTA with match persistence, and IDF1 from a
-global trajectory-level assignment.
+global trajectory-level assignment. Each takes the frame pairing of
+pair_frames(gt, pred), so one pairing serves all three.
 """
 
 from __future__ import annotations
@@ -144,14 +145,13 @@ def _sim_matrix(gt_frame, pred_frame) -> np.ndarray:
     return sims
 
 
-def _pair(gt: TrackedSequence, pred: TrackedSequence):
-    """The frame pairing HOTA, MOTA and IDF1 share.
-
-    Returns (gt_counts, pred_counts, frames): the detections per dense track
-    id of each side, and per frame the (dense gt ids, dense pred ids) lists,
-    their np.ix_ index grid and the similarity matrix between those
-    detections. The matrices are read-only, as every metric reads the same
-    ones.
+def pair_frames(gt: TrackedSequence, pred: TrackedSequence):
+    """The frame pairing every tracking metric takes, as the plain tuple
+    (gt_counts, pred_counts, frames): the detections per dense track id of
+    each side, and per frame the (dense gt ids, dense pred ids) lists, their
+    np.ix_ index grid and the similarity matrix between those detections.
+    The matrices are read-only, as every metric reads the same ones. Frames
+    that do not align raise FrameAlignmentError.
     """
     check_frame_alignment("ground-truth", gt.frame_indices,
                           "predicted", pred.frame_indices)
@@ -186,13 +186,8 @@ def _max_match(sims: np.ndarray, feasible: np.ndarray,
     return [(r, c) for r, c in result.pairs if feasible[r, c]]
 
 
-def hota_components(gt: TrackedSequence, pred: TrackedSequence):
+def hota_components(pairing):
     """Per-alpha (deta, assa, hota) triples over the threshold grid."""
-    return _hota_components(_pair(gt, pred))
-
-
-def _hota_components(pairing):
-    """hota_components on a _pair result."""
     gt_counts, pr_counts, paired = pairing
     n_g, n_p = len(gt_counts), len(pr_counts)
 
@@ -246,14 +241,9 @@ def _hota_components(pairing):
     return out
 
 
-def eval_hota(gt: TrackedSequence, pred: TrackedSequence) -> tuple[float, float, float]:
+def eval_hota(pairing) -> tuple[float, float, float]:
     """(hota, deta, assa) averaged over the localization threshold grid."""
-    return _hota(_pair(gt, pred))
-
-
-def _hota(pairing) -> tuple[float, float, float]:
-    """eval_hota on a _pair result."""
-    comps = _hota_components(pairing)
+    comps = hota_components(pairing)
     n = len(comps)
     deta = sum(c[0] for c in comps) / n
     assa = sum(c[1] for c in comps) / n
@@ -261,13 +251,8 @@ def _hota(pairing) -> tuple[float, float, float]:
     return hota, deta, assa
 
 
-def eval_mota(gt: TrackedSequence, pred: TrackedSequence, alpha: float = 0.5) -> float:
+def eval_mota(pairing, alpha: float = 0.5) -> float:
     """CLEAR accuracy with previous-frame match persistence."""
-    return _mota(_pair(gt, pred), alpha)
-
-
-def _mota(pairing, alpha: float) -> float:
-    """eval_mota on a _pair result."""
     gt_counts, _, frames = pairing
     total_gt = sum(gt_counts)
     if total_gt == 0:
@@ -308,13 +293,8 @@ def _mota(pairing, alpha: float) -> float:
     return 1.0 - (fn + fp + idsw) / total_gt
 
 
-def eval_idf1(gt: TrackedSequence, pred: TrackedSequence, alpha: float = 0.5) -> float:
+def eval_idf1(pairing, alpha: float = 0.5) -> float:
     """F1 over identity-consistent matches under a global trajectory pairing."""
-    return _idf1(_pair(gt, pred), alpha)
-
-
-def _idf1(pairing, alpha: float) -> float:
-    """eval_idf1 on a _pair result."""
     gt_counts, pr_counts, frames = pairing
     total_gt = sum(gt_counts)
     total_pred = sum(pr_counts)
@@ -331,14 +311,14 @@ def _idf1(pairing, alpha: float) -> float:
 def evaluate_tracking(gt: TrackedSequence, pred: TrackedSequence,
                       alpha: float = 0.5) -> TrackEvalResult:
     """eval_hota, eval_mota and eval_idf1, in that order, on one pairing."""
-    pairing = _pair(gt, pred)
-    hota, deta, assa = _hota(pairing)
+    pairing = pair_frames(gt, pred)
+    hota, deta, assa = eval_hota(pairing)
     return TrackEvalResult(
         hota=hota,
         deta=deta,
         assa=assa,
-        mota=_mota(pairing, alpha),
-        idf1=_idf1(pairing, alpha),
+        mota=eval_mota(pairing, alpha),
+        idf1=eval_idf1(pairing, alpha),
     )
 
 

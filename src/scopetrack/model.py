@@ -180,6 +180,7 @@ class ClassDistribution:
     """Foreground class probabilities; the leftover mass means 'no object'."""
 
     probs: tuple[float, ...]
+    max_prob: float = field(init=False, repr=False, compare=False)  # 0.0 with no class
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "probs", require_floats(self.probs, "probs"))
@@ -187,21 +188,15 @@ class ClassDistribution:
             raise DimensionError(f"class probabilities out of [0,1]: {self.probs}")
         if sum(self.probs) > 1 + PROB_SLACK:
             raise DimensionError(f"class probabilities sum beyond 1: {self.probs}")
+        object.__setattr__(self, "max_prob", max(self.probs, default=0.0))
 
     @property
     def no_object_mass(self) -> float:
         return max(0.0, 1.0 - sum(self.probs))
 
-    @property
-    def max_prob(self) -> float:
-        return max(self.probs, default=0.0)
-
     def argmax(self) -> int:
-        best = 0
-        for i, p in enumerate(self.probs):
-            if p > self.probs[best]:
-                best = i
-        return best
+        """The first class of highest probability; 0 with no class."""
+        return self.probs.index(self.max_prob) if self.probs else 0
 
 
 @dataclass(frozen=True)
@@ -261,7 +256,8 @@ class GroundTruthFrame:
 
 @dataclass(frozen=True)
 class StreamHeader:
-    """First line of every stream file; fixes N, C, H, W and the class set."""
+    """First line of every stream file; fixes N, C, H, W (each at least 1) and
+    the class set (not empty, no class twice)."""
 
     n_queries: int
     embed_dim: int
@@ -282,6 +278,14 @@ class StreamHeader:
         for name in ("n_queries", "embed_dim", "frame_height", "frame_width", "version"):
             object.__setattr__(self, name, require_int(getattr(self, name), name))
         require_str(self.video_id, "video_id")
+        for name in ("n_queries", "embed_dim"):
+            if getattr(self, name) <= 0:
+                raise DataError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.frame_height <= 0 or self.frame_width <= 0:
+            raise DataError(f"frame size must be positive, got "
+                            f"{self.frame_height}x{self.frame_width}")
+        if not classes:
+            raise DataError("class set is empty")
 
 
 @dataclass(frozen=True)
@@ -436,27 +440,9 @@ def _check_slot(header: StreamHeader, where: str, slot: QuerySlot, out: list[str
     _check_mask(header, slot.mask, where, out)
 
 
-def _check_common(stream: VideoStream | GroundTruthStream, out: list[str]) -> None:
-    """The rules streams and ground truth share: the header's, and the frame order."""
-    header = stream.header
-    if header.n_queries <= 0:
-        out.append(f"header: n_queries must be positive, got {header.n_queries}")
-    if header.embed_dim <= 0:
-        out.append(f"header: embed_dim must be positive, got {header.embed_dim}")
-    if header.frame_height <= 0 or header.frame_width <= 0:
-        out.append(
-            f"header: frame size must be positive, got "
-            f"{header.frame_height}x{header.frame_width}"
-        )
-    if not header.classes:
-        out.append("header: class set is empty")
-    out.extend(reason for _, reason in frame_order([f.frame_index for f in stream.frames]))
-
-
 def validate_stream(stream: VideoStream) -> list[str]:
     """Check stream-level invariants; violations are data, not exceptions."""
-    out: list[str] = []
-    _check_common(stream, out)
+    out = [reason for _, reason in frame_order([f.frame_index for f in stream.frames])]
     for frame in stream.frames:
         if len(frame.slots) != stream.header.n_queries:
             out.append(
@@ -470,8 +456,7 @@ def validate_stream(stream: VideoStream) -> list[str]:
 
 def validate_ground_truth(stream: GroundTruthStream) -> list[str]:
     """Ground-truth counterpart of validate_stream."""
-    out: list[str] = []
-    _check_common(stream, out)
+    out = [reason for _, reason in frame_order([f.frame_index for f in stream.frames])]
     for frame in stream.frames:
         seen: set[int] = set()
         for obj in frame.objects:

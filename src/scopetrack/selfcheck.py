@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import assignment, losses
-from .metrics import TrackedDet, TrackedSequence, eval_hota
+from .metrics import TrackedDet, TrackedSequence, eval_hota, pair_frames
 from .model import (BBox, ClassDistribution, FramePrediction, GroundTruthFrame,
                     GroundTruthObject, QuerySlot, StreamHeader, rle_decode, rle_encode)
 
@@ -136,12 +136,12 @@ def _check_hota() -> tuple[bool, str]:
     box = (0.0, 0.0, 10.0, 10.0)
     # perfect tracking: every score is exactly 1
     gt = _track([[(0, box)] for _ in range(6)])
-    hota, deta, assa = eval_hota(gt, gt)
+    hota, deta, assa = eval_hota(pair_frames(gt, gt))
     if (hota, deta, assa) != (1.0, 1.0, 1.0):
         return False, f"perfect case gave {(hota, deta, assa)}"
     # one GT track split into two equal halves: TPA fraction 1/2 everywhere
     pred = _track([[(10, box)] for _ in range(3)] + [[(11, box)] for _ in range(3)])
-    hota, deta, assa = eval_hota(gt, pred)
+    hota, deta, assa = eval_hota(pair_frames(gt, pred))
     if deta != 1.0 or assa != 0.5 or abs(hota - math.sqrt(0.5)) > 1e-12:
         return False, f"split-track case gave {(hota, deta, assa)}"
     return True, "tiny-instance closed forms reproduced"

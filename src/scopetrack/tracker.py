@@ -122,8 +122,13 @@ def _unit_keys(slots: Sequence[QuerySlot]) -> list[bytes]:
     zeros. Cosine does not depend on scale, so a row whose squared norm
     overflows is divided by its largest |value| first; no other row changes.
     Each key is a copy: a track that keeps one pins no frame's matrix.
+    Slots whose embeddings differ in length raise DataError.
     """
-    mat = np.asarray([s.embedding for s in slots], dtype=np.float64)
+    try:
+        mat = np.asarray([s.embedding for s in slots], dtype=np.float64)
+    except ValueError:  # numpy's inhomogeneous-shape error
+        lengths = sorted({len(s.embedding) for s in slots})
+        raise DataError(f"slot embeddings differ in length: {lengths}") from None
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(mat, axis=1, keepdims=True)
     if np.inf in norms:

@@ -24,7 +24,8 @@ from scopetrack.losses import (
     mask_ce_loss,
     total_loss,
 )
-from scopetrack.metrics import TrackedSequence, eval_hota, eval_idf1, eval_mota
+from scopetrack.metrics import (TrackedSequence, eval_hota, eval_idf1, eval_mota,
+                                 pair_frames)
 from scopetrack.model import (
     BBox,
     FramePrediction,
@@ -231,8 +232,9 @@ def test_criterion_5_table4_direction():
             parity_ok = parity_ok and det_q == det_b
             if name in margins:
                 gt_seq = TrackedSequence.from_ground_truth(ground_truth)
-                _, _, assa_q = eval_hota(gt_seq, TrackedSequence.from_tracking(q, pred))
-                _, _, assa_b = eval_hota(gt_seq, TrackedSequence.from_tracking(b, pred))
+                assa_q, assa_b = (
+                    eval_hota(pair_frames(gt_seq, TrackedSequence.from_tracking(t, pred)))[2]
+                    for t in (q, b))
                 margins[name].append(assa_q - assa_b)
     elapsed = time.perf_counter() - t0
     mean_occ = 100.0 * sum(margins["occlusion"]) / len(margins["occlusion"])
@@ -251,16 +253,16 @@ def test_criterion_6_metrics_oracles():
     hota_ok = True
     for _ in range(40):
         gt, pred = random_tracked_pair(rng)
-        if eval_hota(gt, pred) != hota_oracle(gt, pred):
+        if eval_hota(pair_frames(gt, pred)) != hota_oracle(gt, pred):
             hota_ok = False
 
     gt10 = seq([[(0, BOX)] for _ in range(10)])
     fp_frames = [[(0, BOX)] for _ in range(10)]
     fp_frames[4].append((9, (50.0, 50.0, 60.0, 60.0)))
-    mota_fp = eval_mota(gt10, seq(fp_frames))
+    mota_fp = eval_mota(pair_frames(gt10, seq(fp_frames)))
     split = seq([[(7, BOX)] for _ in range(5)] + [[(8, BOX)] for _ in range(5)])
-    mota_sw = eval_mota(gt10, split)
-    idf1_half = eval_idf1(gt10, split)
+    mota_sw = eval_mota(pair_frames(gt10, split))
+    idf1_half = eval_idf1(pair_frames(gt10, split))
     hand_ok = (
         abs(mota_fp - 0.9) <= 1e-9
         and abs(mota_sw - 0.9) <= 1e-9
@@ -269,9 +271,9 @@ def test_criterion_6_metrics_oracles():
 
     perfect = seq([[(0, BOX), (1, (20.0, 0.0, 30.0, 10.0))] for _ in range(6)])
     perfect_ok = (
-        eval_hota(perfect, perfect) == (1.0, 1.0, 1.0)
-        and eval_mota(perfect, perfect) == 1.0
-        and eval_idf1(perfect, perfect) == 1.0
+        eval_hota(pair_frames(perfect, perfect)) == (1.0, 1.0, 1.0)
+        and eval_mota(pair_frames(perfect, perfect)) == 1.0
+        and eval_idf1(pair_frames(perfect, perfect)) == 1.0
     )
 
     _report(

@@ -87,6 +87,11 @@ class TestExamples:
         assert solve(CostMatrix(())) == Assignment((), 0.0)
         assert brute_force_solve(CostMatrix(())) == Assignment((), 0.0)
 
+    @pytest.mark.parametrize("values", [((1.0, 2.0), (3.0,)), ((1,), (2, 3)), ((), (1.0,))])
+    def test_unequal_rows_rejected(self, values):
+        with pytest.raises(DataError, match="^cost matrix rows have unequal lengths$"):
+            CostMatrix(values)
+
     def test_nan_rejected(self):
         with pytest.raises(DataError):
             CostMatrix(((1.0, float("nan")),))

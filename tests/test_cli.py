@@ -419,6 +419,52 @@ class TestFirstErrorInFileOrder:
         assert err.count(f"{pred_path}:") == 1 and f"{pred_path}:2: invalid JSON" in err
 
 
+class TestInputRules:
+    """Each rule exits 2 with its own message and prints no result."""
+
+    def _fails(self, capsys, argv, message):
+        capsys.readouterr()
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_min_frames_zero(self, tmp_path, capsys):
+        _, pred_path = synth_files(tmp_path, scenario="static")
+        tracks = _tracks_for(tmp_path, pred_path)
+        self._fails(capsys, ["report", "--tracks", str(tracks), "--stream", str(pred_path),
+                             "--min-frames", "0"], "min_frames must be >= 1, got 0")
+
+    def test_config_weights_not_an_object(self, tmp_path, capsys):
+        gt_path, pred_path = synth_files(tmp_path, scenario="static")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"weights": 3}')
+        self._fails(capsys, ["--config", str(cfg), "loss-check", "--pred", str(pred_path),
+                             "--gt", str(gt_path)], "weights must be a JSON object")
+
+    def test_config_file_holding_an_array(self, tmp_path, capsys):
+        _, pred_path = synth_files(tmp_path, scenario="static")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        self._fails(capsys, ["--config", str(cfg), "track", "--in", str(pred_path),
+                             "--out", str(tmp_path / "t.jsonl")], f"{cfg}: not a JSON object")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_queries", 0, "n_queries must be positive, got 0"),
+        ("embed_dim", 0, "embed_dim must be positive, got 0"),
+        ("frame_height", -1, "frame size must be positive, got {frame_height}x{frame_width}"),
+        ("frame_width", 0, "frame size must be positive, got {frame_height}x{frame_width}"),
+        ("classes", [], "class set is empty"),
+    ])
+    @pytest.mark.parametrize("broken", ["pred", "gt"])
+    def test_header_rule_names_line_one(self, tmp_path, capsys, broken, key, value, message):
+        gt_path, pred_path = synth_files(tmp_path, scenario="static")
+        path = pred_path if broken == "pred" else gt_path
+        _rewrite_line(path, 1, lambda h: h.__setitem__(key, value))
+        header = json.loads(path.read_text().splitlines()[0])
+        self._fails(capsys, ["eval-det", "--pred", str(pred_path), "--gt", str(gt_path)],
+                    f"{path}:1: {message.format(**header)}")
+
+
 def _rewrite_line(path, lineno, edit):
     lines = path.read_text().splitlines()
     obj = json.loads(lines[lineno - 1])

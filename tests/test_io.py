@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scopetrack import io
-from scopetrack.errors import DimensionError, FrameAlignmentError, StreamFormatError
+from scopetrack.errors import DataError, DimensionError, FrameAlignmentError, StreamFormatError
 from scopetrack.metrics import TrackedSequence
 from scopetrack.model import BBox, VideoStream
 from scopetrack.synth import SynthConfig, generate, scenario_config
@@ -166,6 +166,34 @@ class TestMalformedFiles:
         path.write_text("")
         with pytest.raises(StreamFormatError):
             io.read_stream(path)
+
+
+class TestHeaderRules:
+    """A header that breaks a size or class rule fails on line 1, in both
+    readers that read a header, with StreamHeader's own message."""
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_queries", 0, "n_queries must be positive, got 0"),
+        ("embed_dim", -2, "embed_dim must be positive, got -2"),
+        ("frame_height", 0, "frame size must be positive, got 0x64"),
+        ("frame_width", 0, "frame size must be positive, got 48x0"),
+        ("classes", [], "class set is empty"),
+    ])
+    @pytest.mark.parametrize("kind", ["stream", "ground_truth"])
+    def test_rule_broken_on_line_one(self, tmp_path, kind, key, value, message):
+        gt, pred = generate(SynthConfig(n_objects=1, n_frames=2, frame_height=48,
+                                        frame_width=64, seed=3))
+        path = tmp_path / f"{kind}.jsonl"
+        write, read = ((io.write_stream, io.read_stream) if kind == "stream"
+                       else (io.write_ground_truth, io.read_ground_truth))
+        write(pred if kind == "stream" else gt, path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header[key] = value
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(DataError) as info:
+            read(path)
+        assert str(info.value) == f"{path}:1: {message}"
 
 
 class TestFrameOrder:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_slot, make_stream, unit_vec
-from scopetrack import assignment, synth
+from scopetrack import assignment, metrics, synth
 from scopetrack.assignment import CostMatrix, solve
 from scopetrack.errors import (
     DataError,
@@ -24,6 +24,7 @@ from scopetrack.metrics import (
     HOTA_ALPHAS,
     TrackedDet,
     TrackedSequence,
+    TrackEvalResult,
     eval_classification_f1,
     eval_hota,
     eval_idf1,
@@ -31,9 +32,10 @@ from scopetrack.metrics import (
     eval_segmentation,
     evaluate_tracking,
     hota_components,
+    pair_frames,
     similarity,
 )
-from scopetrack.metrics import _pair, _sim_matrix
+from scopetrack.metrics import _sim_matrix
 from scopetrack.model import (
     BBox,
     ClassDistribution,
@@ -193,12 +195,12 @@ def random_tracked_pair(rng, n_frames=6, max_tracks=2):
 class TestHota:
     def test_perfect_tracking_is_exactly_one(self):
         gt = seq([[(0, BOX), (1, (20.0, 0.0, 30.0, 10.0))] for _ in range(5)])
-        assert eval_hota(gt, gt) == (1.0, 1.0, 1.0)
+        assert eval_hota(pair_frames(gt, gt)) == (1.0, 1.0, 1.0)
 
     def test_split_track(self):
         gt = seq([[(0, BOX)] for _ in range(10)])
         pred = seq([[(7, BOX)] for _ in range(5)] + [[(8, BOX)] for _ in range(5)])
-        hota, deta, assa = eval_hota(gt, pred)
+        hota, deta, assa = eval_hota(pair_frames(gt, pred))
         assert deta == 1.0
         assert assa == 0.5
         assert hota == pytest.approx(math.sqrt(0.5), abs=1e-12)
@@ -206,24 +208,24 @@ class TestHota:
     def test_empty_predictions(self):
         gt = seq([[(0, BOX)] for _ in range(4)])
         pred = seq([[] for _ in range(4)])
-        hota, deta, assa = eval_hota(gt, pred)
+        hota, deta, assa = eval_hota(pair_frames(gt, pred))
         assert (hota, deta, assa) == (0.0, 0.0, 0.0)
 
     def test_empty_ground_truth(self):
         gt = seq([[] for _ in range(4)])
         pred = seq([[(0, BOX)] for _ in range(4)])
-        assert eval_hota(gt, pred) == (0.0, 0.0, 0.0)
+        assert eval_hota(pair_frames(gt, pred)) == (0.0, 0.0, 0.0)
 
     def test_two_empty_videos(self):
         empty = seq([[] for _ in range(4)])
-        assert eval_hota(empty, empty) == (0.0, 0.0, 0.0)
+        assert eval_hota(pair_frames(empty, empty)) == (0.0, 0.0, 0.0)
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(2024)
         checked = 0
         for _ in range(60):
             gt, pred = random_tracked_pair(rng)
-            got = eval_hota(gt, pred)
+            got = eval_hota(pair_frames(gt, pred))
             want = hota_oracle(gt, pred)
             assert got == want
             checked += 1
@@ -232,7 +234,7 @@ class TestHota:
     def test_per_alpha_geometric_mean_identity(self):
         rng = np.random.default_rng(77)
         gt, pred = random_tracked_pair(rng)
-        for deta, assa, hota in hota_components(gt, pred):
+        for deta, assa, hota in hota_components(pair_frames(gt, pred)):
             assert abs(hota - math.sqrt(deta * assa)) <= 1e-12
             lo, hi = min(deta, assa), max(deta, assa)
             assert lo - 1e-12 <= hota <= hi + 1e-12
@@ -247,36 +249,36 @@ class TestHota:
                 for f in pred.frames
             ),
         )
-        assert eval_hota(gt, pred) == eval_hota(gt, relabeled)
+        assert eval_hota(pair_frames(gt, pred)) == eval_hota(pair_frames(gt, relabeled))
 
     def test_misalignment_rejected(self):
         gt = seq([[(0, BOX)]])
         pred = TrackedSequence(frame_indices=(5,), frames=(((TrackedDet(0, BBox(*BOX))),),))
         with pytest.raises(FrameAlignmentError):
-            eval_hota(gt, pred)
+            eval_hota(pair_frames(gt, pred))
 
 
 class TestMota:
     def test_perfect(self):
         gt = seq([[(0, BOX)] for _ in range(10)])
-        assert eval_mota(gt, gt) == 1.0
+        assert eval_mota(pair_frames(gt, gt)) == 1.0
 
     def test_one_false_positive(self):
         gt = seq([[(0, BOX)] for _ in range(10)])
         frames = [[(0, BOX)] for _ in range(10)]
         frames[4].append((9, (50.0, 50.0, 60.0, 60.0)))  # spurious detection
-        assert eval_mota(gt, seq(frames)) == pytest.approx(0.9, abs=1e-9)
+        assert eval_mota(pair_frames(gt, seq(frames))) == pytest.approx(0.9, abs=1e-9)
 
     def test_one_identity_switch(self):
         gt = seq([[(0, BOX)] for _ in range(10)])
         pred = seq([[(7, BOX)] for _ in range(5)] + [[(8, BOX)] for _ in range(5)])
-        assert eval_mota(gt, pred) == pytest.approx(0.9, abs=1e-9)
+        assert eval_mota(pair_frames(gt, pred)) == pytest.approx(0.9, abs=1e-9)
 
     def test_empty_ground_truth_is_undefined(self):
         gt = seq([[] for _ in range(3)])
         pred = seq([[(0, BOX)] for _ in range(3)])
         with pytest.raises(UndefinedMetricError):
-            eval_mota(gt, pred)
+            eval_mota(pair_frames(gt, pred))
 
     def test_match_persistence_prefers_previous_partner(self):
         # two overlapping preds; the persistent partner keeps the match even
@@ -287,32 +289,33 @@ class TestMota:
             for t in range(4)
         ]
         gt, pred = seq(gt_frames), seq(pred_frames)
-        assert eval_mota(gt, pred) == pytest.approx(1.0 - 3 / 4, abs=1e-9)  # 3 FPs, no switch
+        # 3 FPs, no switch
+        assert eval_mota(pair_frames(gt, pred)) == pytest.approx(1.0 - 3 / 4, abs=1e-9)
 
 
 class TestIdf1:
     def test_perfect(self):
         gt = seq([[(0, BOX)] for _ in range(10)])
-        assert eval_idf1(gt, gt) == 1.0
+        assert eval_idf1(pair_frames(gt, gt)) == 1.0
 
     def test_split_track_halves(self):
         gt = seq([[(0, BOX)] for _ in range(10)])
         pred = seq([[(7, BOX)] for _ in range(5)] + [[(8, BOX)] for _ in range(5)])
-        assert eval_idf1(gt, pred) == pytest.approx(0.5, abs=1e-9)
+        assert eval_idf1(pair_frames(gt, pred)) == pytest.approx(0.5, abs=1e-9)
 
     def test_empty_predictions(self):
         gt = seq([[(0, BOX)] for _ in range(4)])
         pred = seq([[] for _ in range(4)])
-        assert eval_idf1(gt, pred) == 0.0
+        assert eval_idf1(pair_frames(gt, pred)) == 0.0
 
     def test_empty_ground_truth(self):
         gt = seq([[] for _ in range(4)])
         pred = seq([[(0, BOX)] for _ in range(4)])
-        assert eval_idf1(gt, pred) == 0.0
+        assert eval_idf1(pair_frames(gt, pred)) == 0.0
 
     def test_two_empty_videos(self):
         empty = seq([[] for _ in range(4)])
-        assert eval_idf1(empty, empty) == 1.0
+        assert eval_idf1(pair_frames(empty, empty)) == 1.0
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(5)
@@ -324,7 +327,7 @@ class TestIdf1:
                 for f in pred.frames
             ),
         )
-        assert eval_idf1(gt, pred) == eval_idf1(gt, relabeled)
+        assert eval_idf1(pair_frames(gt, pred)) == eval_idf1(pair_frames(gt, relabeled))
 
 
 class TestFpMonotonicity:
@@ -339,10 +342,10 @@ class TestFpMonotonicity:
                 frame_indices=pred.frame_indices,
                 frames=tuple(tuple(f) for f in frames),
             )
-            _, deta_base, _ = eval_hota(gt, pred)
-            _, deta_worse, _ = eval_hota(gt, worse)
+            _, deta_base, _ = eval_hota(pair_frames(gt, pred))
+            _, deta_worse, _ = eval_hota(pair_frames(gt, worse))
             assert deta_worse <= deta_base + 1e-12
-            assert eval_mota(gt, worse) <= eval_mota(gt, pred) + 1e-12
+            assert eval_mota(pair_frames(gt, worse)) <= eval_mota(pair_frames(gt, pred)) + 1e-12
 
 
 # -------------------------------------------------------- detection metrics
@@ -521,8 +524,8 @@ class TestMaskLocalization:
             frame_indices=(0,),
             frames=(((TrackedDet(5, BBox(*BOX), right)),),),
         )
-        assert eval_idf1(gt, pred_same) == 1.0
-        assert eval_idf1(gt, pred_other) == 0.0  # box IoU alone would match
+        assert eval_idf1(pair_frames(gt, pred_same)) == 1.0
+        assert eval_idf1(pair_frames(gt, pred_other)) == 0.0  # box IoU alone would match
 
 
 class TestHeaderCompatibility:
@@ -575,7 +578,7 @@ class TestMotaRange:
                           for k in range(1, 4)]
             for _ in range(3)
         ])
-        value = eval_mota(gt, flooded)
+        value = eval_mota(pair_frames(gt, flooded))
         assert value < 0.0
         assert value <= 1.0
 
@@ -796,10 +799,10 @@ class TestReferenceEquivalence:
         on_grid = solved = free = one_sided = 0
         for _ in range(40):
             gt, pred = crowded_pair(rng)
-            assert hota_components(gt, pred) == reference_hota_components(gt, pred)
+            assert hota_components(pair_frames(gt, pred)) == reference_hota_components(gt, pred)
             if sum(len(f) for f in gt.frames):
-                assert eval_mota(gt, pred) == reference_mota(gt, pred)
-            assert eval_idf1(gt, pred) == reference_idf1(gt, pred)
+                assert eval_mota(pair_frames(gt, pred)) == reference_mota(gt, pred)
+            assert eval_idf1(pair_frames(gt, pred)) == reference_idf1(gt, pred)
             for gf, pf in zip(gt.frames, pred.frames):
                 sims = reference_sim_matrix(gf, pf)
                 on_grid += int(np.isin(sims, HOTA_ALPHAS).sum())
@@ -882,9 +885,9 @@ class TestSolverCalls:
             frames_pr.append([(k + 10, (30.0 * k + t % 3, 1.0, 30.0 * k + 10, 11.0))
                               for k in range(3)] + [(99, (200.0, 200.0, 210.0, 210.0))])
         gt, pred = seq(frames_gt), seq(frames_pr)
-        assert hota_components(gt, pred) == reference_hota_components(gt, pred)
+        assert hota_components(pair_frames(gt, pred)) == reference_hota_components(gt, pred)
         solve_calls.clear()
-        hota_components(gt, pred)
+        hota_components(pair_frames(gt, pred))
         assert solve_calls == []
 
     def test_crowded_frame_solved_once_per_distinct_mask(self, solve_calls):
@@ -894,9 +897,9 @@ class TestSolverCalls:
                      (7, (5.0, 0.0, 15.0, 10.0))]])
         sims = reference_sim_matrix(gt.frames[0], pred.frames[0])
         masks = {(sims >= alpha - ALPHA_MARGIN).tobytes() for alpha in HOTA_ALPHAS}
-        assert hota_components(gt, pred) == reference_hota_components(gt, pred)
+        assert hota_components(pair_frames(gt, pred)) == reference_hota_components(gt, pred)
         solve_calls.clear()
-        hota_components(gt, pred)
+        hota_components(pair_frames(gt, pred))
         assert 1 <= len(solve_calls) <= len(masks) < len(HOTA_ALPHAS)
 
 
@@ -909,13 +912,13 @@ class TestAlignmentMessages:
         pred = TrackedSequence(frame_indices=self.shifted, frames=gt.frames)
         with pytest.raises(FrameAlignmentError,
                            match="position 6, ground-truth has frame 6 and predicted has frame 7"):
-            eval_hota(gt, pred)
+            eval_hota(pair_frames(gt, pred))
 
     def test_length_mismatch_is_named(self):
         gt = seq([[(0, BOX)] for _ in self.indices])
         pred = TrackedSequence(frame_indices=self.indices[:6], frames=gt.frames[:6])
         with pytest.raises(FrameAlignmentError, match="has 8 frames, predicted has 6"):
-            eval_mota(gt, pred)
+            eval_mota(pair_frames(gt, pred))
 
     def test_streams_name_first_difference(self):
         pred, gt = det_streams([
@@ -932,13 +935,14 @@ class TestAlignmentMessages:
 
 class TestEvaluateOnce:
     """evaluate_tracking pairs the frames once and gives that pairing to all
-    three metrics; each field equals its standalone function bitwise."""
+    three metrics; each field equals its standalone function, on a pairing
+    of its own, bitwise."""
 
     @staticmethod
     def standalone(gt, pred, alpha=0.5):
-        hota, deta, assa = eval_hota(gt, pred)
-        return (hota, deta, assa, eval_mota(gt, pred, alpha=alpha),
-                eval_idf1(gt, pred, alpha=alpha))
+        hota, deta, assa = eval_hota(pair_frames(gt, pred))
+        return (hota, deta, assa, eval_mota(pair_frames(gt, pred), alpha=alpha),
+                eval_idf1(pair_frames(gt, pred), alpha=alpha))
 
     @pytest.mark.parametrize("masks", [False, True], ids=["boxes", "masks"])
     @pytest.mark.parametrize("scenario", synth.SCENARIO_NAMES)
@@ -972,10 +976,37 @@ class TestEvaluateOnce:
     def test_pairing_matrices_are_read_only(self):
         gt = seq([[(0, BOX), (1, (20.0, 0.0, 30.0, 10.0))], []])
         pred = seq([[(5, BOX)], [(5, BOX)]])
-        _, _, frames = _pair(gt, pred)
+        _, _, frames = pair_frames(gt, pred)
         for _, _, sims in frames:
             with pytest.raises(ValueError):
                 sims[...] = 0.5
+
+    def test_calls_each_public_metric_once(self, monkeypatch):
+        # the names a caller can wrap are the functions that do the work
+        seen = {}
+        for name in ("eval_hota", "eval_mota", "eval_idf1"):
+            def counting(pairing, *args, _real=getattr(metrics, name), _name=name):
+                seen.setdefault(_name, []).append(pairing)
+                return _real(pairing, *args)
+            monkeypatch.setattr(metrics, name, counting)
+        gt = seq([[(0, BOX)] for _ in range(3)])
+        pred = seq([[(4, BOX)], [(4, BOX)], [(5, BOX)]])
+        result = evaluate_tracking(gt, pred)
+        assert sorted(seen) == ["eval_hota", "eval_idf1", "eval_mota"]
+        assert [len(calls) for calls in seen.values()] == [1, 1, 1]
+        hota_pairing = seen["eval_hota"][0]
+        assert type(hota_pairing) is tuple
+        assert seen["eval_mota"][0] is hota_pairing and seen["eval_idf1"][0] is hota_pairing
+        monkeypatch.undo()
+        assert result == TrackEvalResult(*eval_hota(pair_frames(gt, pred)),
+                                         mota=eval_mota(pair_frames(gt, pred)),
+                                         idf1=eval_idf1(pair_frames(gt, pred)))
+
+    @pytest.mark.parametrize("metric", [hota_components, eval_hota, eval_mota, eval_idf1])
+    def test_two_sequences_are_not_a_pairing(self, metric):
+        gt = seq([[(0, BOX)] for _ in range(3)])
+        with pytest.raises(TypeError):
+            metric(gt, gt)
 
 
 class TestFromTracking:

@@ -65,6 +65,17 @@ class TestRle:
         with pytest.raises(MaskFormatError):
             RleMask(height=2, width=2, runs=(-1, 5))
 
+    @pytest.mark.parametrize("height, width", [(0, 4), (4, 0), (-1, 4), (0, 0)])
+    def test_non_positive_size_rejected(self, height, width):
+        with pytest.raises(MaskFormatError) as info:
+            RleMask(height=height, width=width, runs=(0,))
+        assert str(info.value) == f"mask dimensions must be positive, got {height}x{width}"
+
+    def test_no_runs_rejected(self):
+        with pytest.raises(MaskFormatError) as info:
+            RleMask(height=2, width=2, runs=())
+        assert str(info.value) == "mask needs at least one run"
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.integers(1, 64))
     @settings(max_examples=150, deadline=None)
     def test_round_trip(self, seed, h, w):
@@ -154,6 +165,49 @@ class TestClassDistribution:
     def test_overfull_rejected(self):
         with pytest.raises(DimensionError):
             ClassDistribution((0.8, 0.4))
+
+    @pytest.mark.parametrize("probs", [(1.5,), (0.2, -0.1), (0.0, 1.0 + 1e-8)])
+    def test_probability_outside_unit_interval_rejected(self, probs):
+        with pytest.raises(DimensionError) as info:
+            ClassDistribution(probs)
+        assert str(info.value) == f"class probabilities out of [0,1]: {probs}"
+
+    def test_slack_at_the_ends_is_held(self):
+        assert ClassDistribution((-1e-10, 1.0 + 1e-10)).probs == (-1e-10, 1.0 + 1e-10)
+
+    @staticmethod
+    def loop_argmax(probs) -> int:
+        best = 0
+        for i, p in enumerate(probs):
+            if p > probs[best]:
+                best = i
+        return best
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, -1e-10, 0.1, 0.125, 0.2])
+                    | st.floats(0.0, 0.2), max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_max_prob_and_argmax_equal_the_loop(self, probs):
+        # ties, +-0.0 and the empty set: the stored maximum is max()'s bits,
+        # and argmax the first index of the highest probability
+        dist = ClassDistribution(probs)
+        assert dist.max_prob.hex() == max(dist.probs, default=0.0).hex()
+        assert dist.argmax() == self.loop_argmax(dist.probs)
+        assert repr(dist) == f"ClassDistribution(probs={dist.probs!r})"
+        twin = ClassDistribution(tuple(reversed(probs)))
+        assert (dist == twin) == (dist.probs == twin.probs)
+        assert dist == ClassDistribution(list(probs))
+        assert hash(dist) == hash(ClassDistribution(list(probs)))
+
+    def test_signed_zeros_compare_equal(self):
+        # the stored maxima differ in sign; equality and hash follow probs only
+        a, b = ClassDistribution((0.0, -0.0)), ClassDistribution((-0.0, 0.0))
+        assert (a.max_prob.hex(), b.max_prob.hex()) == ((0.0).hex(), (-0.0).hex())
+        assert a == b and hash(a) == hash(b)
+        assert (a.argmax(), b.argmax()) == (0, 0)
+
+    def test_max_prob_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            ClassDistribution((0.5,), max_prob=0.5)
 
 
 class TestValidateStream:
@@ -269,6 +323,17 @@ class TestRecordFields:
         frame = GroundTruthFrame(frame_index=np.uint8(3), objects=())
         assert frame.frame_index == 3 and type(frame.frame_index) is int
 
+    def test_smallest_header_held(self):
+        header = StreamHeader(n_queries=1, embed_dim=1, frame_height=1, frame_width=1,
+                              classes=["AD"])
+        assert (header.n_queries, header.embed_dim, header.frame_height,
+                header.frame_width, header.classes) == (1, 1, 1, 1, ("AD",))
+
+    def test_type_checked_before_size(self):
+        with pytest.raises(DataError, match="^n_queries must be an integer, got 0.0$"):
+            StreamHeader(n_queries=0.0, embed_dim=0, frame_height=0, frame_width=0,
+                         classes=())
+
     def test_numpy_header_fields_held_as_ints(self):
         header = StreamHeader(n_queries=np.int64(1), embed_dim=np.int32(2),
                               frame_height=4, frame_width=4, classes=["AD"])
@@ -285,6 +350,12 @@ class TestRecordFields:
         ("video_id", 7, "video_id must be a string, got 7"),
         ("classes", "AD", "classes must be an array of strings, got 'AD'"),
         ("classes", ("AD", 1), "classes must be an array of strings, got ('AD', 1)"),
+        ("n_queries", 0, "n_queries must be positive, got 0"),
+        ("embed_dim", -3, "embed_dim must be positive, got -3"),
+        ("frame_height", 0, "frame size must be positive, got 0x4"),
+        ("frame_width", -1, "frame size must be positive, got 4x-1"),
+        ("classes", (), "class set is empty"),
+        ("classes", [], "class set is empty"),
     ])
     def test_bad_header_fields_rejected(self, field, value, message):
         fields = dict(n_queries=1, embed_dim=2, frame_height=4, frame_width=4,

@@ -585,6 +585,18 @@ class TestCarriedKeys:
     def test_carried_rows_equal_renormalizing(self, frames):
         assert fold_steps(frames) == renormalizing_fold(frames)
 
+    @pytest.mark.parametrize("live", [False, True], ids=["births_only", "live_tracks"])
+    def test_ragged_frame_is_data_error(self, live):
+        state = TrackState()
+        if live:
+            state, _ = step(state, FramePrediction(0, (make_slot(unit_vec(0)),
+                                                       make_slot(unit_vec(1)))))
+        before = state
+        ragged = FramePrediction(1, (make_slot(unit_vec(0)), make_slot((1.0, 0.0, 0.0))))
+        with pytest.raises(DataError, match=r"^slot embeddings differ in length: \[3, 4\]$"):
+            step(state, ragged)
+        assert state == before and state is before
+
     def test_embedding_width_differs_from_live_tracks(self):
         state, _ = step(TrackState(), FramePrediction(0, (make_slot(unit_vec(0)),)))
         with pytest.raises(DataError, match=r"^embedding dims differ: 4 vs 2$"):
