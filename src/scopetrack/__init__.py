@@ -18,6 +18,7 @@ from .metrics import (
 from .model import (
     BBox,
     ClassDistribution,
+    Embedding,
     FramePrediction,
     GroundTruthFrame,
     GroundTruthObject,

@@ -214,7 +214,7 @@ def _cmd_loss_check(args, file_cfg: dict) -> int:
     lines = [json.dumps({"config": {"weights": asdict(weights)}})]
     for frame, gt_frame in zip(preds.frames, gts.frames):
         breakdown = losses.total_loss(frame, gt_frame, weights, preds.header)
-        lines.append(json.dumps({"frame_index": frame.frame_index, **asdict(breakdown)}))
+        lines.append(json.dumps({"frame_index": frame.frame_index, **vars(breakdown)}))
     print("\n".join(lines))  # only once every frame checks out
     return EXIT_OK
 

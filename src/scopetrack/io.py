@@ -10,12 +10,15 @@ file order is the one reported. The checks that span lines run after the
 last line: the stream and ground-truth readers check the model's
 invariants (validate_stream, validate_ground_truth), and a file that breaks
 them raises StreamFormatError naming the path and the first three
-violations.
+violations. Writers encode one line at a time into a temporary file that
+replaces the target once it is complete.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -107,9 +110,51 @@ def load_json_object(path: str | Path) -> dict:
 
 
 def _write_lines(path: str | Path, objs: Iterable[Any]) -> None:
-    """One JSON object per line; the text is complete before the file is opened."""
-    text = "\n".join(map(json.dumps, objs)) + "\n"
-    Path(path).write_text(text)
+    """One JSON object per line, encoded and written one line at a time.
+
+    A regular file, or a new one, is written as a new file beside it
+    (through any symlink), created as Path.write_text creates a file (with
+    an existing target's mode), which replaces it once the last line is
+    written. So no whole-file text is held, and a failure leaves path as it
+    was and no temporary file. Anything else path names (a device, a FIFO,
+    a terminal), and a file whose directory takes no new files, is written
+    into in place, never replaced. An OSError from creating or replacing
+    the file names path, as writing it in place would; errors from objs and
+    from the writes themselves pass as they are.
+    """
+    path = Path(path)
+    lines = (f"{json.dumps(obj)}\n" for obj in objs)
+    tmp = None
+    if not path.exists() or path.is_file():
+        target = Path(os.path.realpath(path))
+        tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+        try:
+            f = tmp.open("x")
+        except PermissionError:
+            tmp = None
+        except OSError as exc:
+            raise _naming(exc, path) from None
+    if tmp is None:
+        with path.open("w") as f:
+            f.writelines(lines)
+        return
+    try:
+        with f:
+            f.writelines(lines)
+        try:
+            if target.exists():
+                shutil.copymode(target, tmp)
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise _naming(exc, path) from None
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _naming(exc: OSError, path: Path) -> OSError:
+    """exc as the OSError of the same errno raised on path itself."""
+    return OSError(exc.errno, exc.strerror, str(path)) if exc.errno is not None else exc
 
 
 def _parse_record(path: str | Path, lineno: int, obj: Any, what: str,
@@ -214,7 +259,7 @@ def write_stream(stream: VideoStream, path: str | Path) -> None:
         "frame_index": frame.frame_index,
         "slots": [
             {
-                "embedding": list(s.embedding),
+                "embedding": s.embedding.astuple(),
                 "box": list(s.box.as_tuple()),
                 "probs": list(s.classes.probs),
                 "mask": _mask_obj(s.mask),

@@ -7,7 +7,8 @@ functions, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import struct
+from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import accumulate, chain
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -44,20 +45,20 @@ def require_number(value, name: str) -> float:
     return value
 
 
-def _convert(values, name: str, kinds: tuple, what: str, convert) -> tuple:
-    """values as a tuple of convert(value); each must be one of kinds, not a bool.
-    A tuple holding only convert's own type is returned as it is."""
-    values = values if type(values) is tuple else tuple(values)
+def _convert(values, name: str, kinds: tuple, what: str, convert) -> list | tuple:
+    """values as a list or tuple of convert(value); each must be one of kinds,
+    not a bool. A list or tuple holding only convert's own type is returned
+    as it is."""
+    values = values if type(values) in (tuple, list) else list(values)
     types = set(map(type, values))  # one C-level pass, as embeddings are wide
     if not types <= {int, convert}:
         for value in values:
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise DataError(f"{name} must be {what}, got {value!r}")
-    # tuple() of a list allocates once; of a bare map it regrows, fragmenting the heap
-    return values if types <= {convert} else tuple(list(map(convert, values)))
+    return values if types <= {convert} else list(map(convert, values))
 
 
-def require_floats(values, name: str) -> tuple[float, ...]:
+def _finite_floats(values, name: str) -> list | tuple:
     """values as finite floats: ints, floats or numpy real scalars. A bool or
     a string raises DataError, NaN or an infinity DimensionError."""
     floats = _convert(values, name, (int, float, np.integer, np.floating), "a number", float)
@@ -67,9 +68,15 @@ def require_floats(values, name: str) -> tuple[float, ...]:
     return floats
 
 
+def require_floats(values, name: str) -> tuple[float, ...]:
+    """values as a tuple of finite floats, as _finite_floats takes them; a
+    tuple of floats is returned as it is."""
+    return tuple(_finite_floats(values, name))
+
+
 def require_ints(values, name: str) -> tuple[int, ...]:
     """values as ints: Python or numpy integers, not bools."""
-    return _convert(values, name, (int, np.integer), "an integer", int)
+    return tuple(_convert(values, name, (int, np.integer), "an integer", int))
 
 
 def require_range(value, name: str, low: float, high: float,
@@ -89,6 +96,62 @@ def require_range(value, name: str, low: float, high: float,
     except OverflowError:  # an integer beyond float range
         raise DataError(f"{name} must be within float range, "
                         f"got an integer of {len(str(abs(value)))} digits") from None
+
+
+class Embedding:
+    """An embedding's values held as their packed native float64 bytes,
+    `data`: 8 bytes a value, where a tuple of Python floats takes 32.
+
+    Built from ints, floats or numpy real scalars, as require_floats takes
+    them, with its errors. It iterates, indexes, measures, compares and
+    hashes like the tuple of its floats, so +0.0 equals -0.0 and an
+    Embedding equals that tuple. np.frombuffer(embedding.data) reads the
+    values as a read-only float64 array without a copy.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, values) -> None:
+        floats = _finite_floats(values, "embedding")
+        object.__setattr__(self, "data", struct.pack(f"{len(floats)}d", *floats))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def astuple(self) -> tuple[float, ...]:
+        """The values as a tuple of Python floats, unpacked in one C-level call."""
+        return struct.unpack(f"{len(self.data) >> 3}d", self.data)
+
+    def __len__(self) -> int:
+        return len(self.data) >> 3
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self.astuple())
+
+    def __getitem__(self, index):
+        return self.astuple()[index]
+
+    def __eq__(self, other) -> bool:
+        if type(other) is Embedding:
+            # equal bytes are equal values; unequal ones may differ in a zero's sign
+            return self.data == other.data or self.astuple() == other.astuple()
+        if isinstance(other, tuple):
+            return self.astuple() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.astuple())
+
+    def __repr__(self) -> str:
+        return repr(self.astuple())
+
+    def __reduce__(self):
+        # copy, deepcopy (dataclasses.asdict) and pickle rebuild it from its
+        # values, as __setattr__ refuses the default slot-by-slot restore
+        return (Embedding, (self.astuple(),))
 
 
 @dataclass(frozen=True)
@@ -201,15 +264,19 @@ class ClassDistribution:
 
 @dataclass(frozen=True)
 class QuerySlot:
-    """One object-query slot: embedding plus its decoded head outputs."""
+    """One object-query slot: embedding plus its decoded head outputs.
 
-    embedding: tuple[float, ...]
+    The embedding is held as an Embedding; one given as an Embedding is kept
+    as it is."""
+
+    embedding: Embedding
     box: BBox
     classes: ClassDistribution
     mask: RleMask | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "embedding", require_floats(self.embedding, "embedding"))
+        if type(self.embedding) is not Embedding:
+            object.__setattr__(self, "embedding", Embedding(self.embedding))
 
     def is_empty(self, tau: float) -> bool:
         """A slot is 'no object' when no foreground class reaches tau."""

@@ -69,6 +69,8 @@ def _validate(cfg: SynthConfig) -> None:
         )
     if cfg.n_objects < 0 or cfg.n_frames <= 0:
         raise DataError("need a non-negative object count and at least one frame")
+    if not cfg.classes:
+        raise DataError("class set is empty")
     for obj, start, length in cfg.occlusions:
         if not 0 <= obj < cfg.n_objects:
             raise DataError(f"occlusion window names unknown object {obj}")

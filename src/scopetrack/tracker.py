@@ -117,6 +117,7 @@ class TrackingOutput:
 def _unit_keys(slots: Sequence[QuerySlot]) -> list[bytes]:
     """Each slot's unit embedding row, as the bytes of its float64 values.
 
+    The frame matrix is read straight off the slots' packed embedding bytes.
     numpy reduces each row of the matrix on its own, so a row's bits do not
     depend on the frame it sits in. A row with norm below _ZERO_NORM is all
     zeros. Cosine does not depend on scale, so a row whose squared norm
@@ -124,15 +125,17 @@ def _unit_keys(slots: Sequence[QuerySlot]) -> list[bytes]:
     Each key is a copy: a track that keeps one pins no frame's matrix.
     Slots whose embeddings differ in length raise DataError.
     """
-    try:
-        mat = np.asarray([s.embedding for s in slots], dtype=np.float64)
-    except ValueError:  # numpy's inhomogeneous-shape error
-        lengths = sorted({len(s.embedding) for s in slots})
-        raise DataError(f"slot embeddings differ in length: {lengths}") from None
+    rows = [s.embedding.data for s in slots]
+    sizes = set(map(len, rows))
+    if len(sizes) > 1:
+        lengths = sorted(size >> 3 for size in sizes)
+        raise DataError(f"slot embeddings differ in length: {lengths}")
+    mat = np.frombuffer(b"".join(rows)).reshape(len(rows), len(rows[0]) >> 3)
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(mat, axis=1, keepdims=True)
     if np.inf in norms:
         huge = norms[:, 0] == np.inf
+        mat = mat.copy()  # the bytes are read-only
         mat[huge] /= np.abs(mat[huge]).max(axis=1, keepdims=True)
         norms[huge] = np.linalg.norm(mat[huge], axis=1, keepdims=True)
     unit = np.divide(mat, norms, out=np.zeros_like(mat), where=norms >= _ZERO_NORM)

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import re
+import stat
 import tempfile
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -335,3 +338,164 @@ def test_reader_holds_one_line_at_a_time(long_files, reader, name):
         tracemalloc.stop()
     assert result
     assert peak - retained < 1 << 20, (peak, retained)
+
+
+def test_reader_holds_embeddings_packed(tmp_path):
+    """A stream read back grows by under 10 bytes per added embedding value:
+    its values are held as packed float64 (8 bytes), not as Python floats
+    (32 bytes with the tuple slot). Only the embedding width differs."""
+    n_frames, n_queries = 100, 8
+    retained = {}
+    for dim in (32, 288):
+        _, pred = generate(SynthConfig(n_objects=2, n_frames=n_frames, n_queries=n_queries,
+                                        embed_dim=dim, seed=4))
+        path = tmp_path / f"pred{dim}.jsonl"
+        io.write_stream(pred, path)
+        del pred
+        gc.collect()
+        tracemalloc.start()
+        try:
+            stream = io.read_stream(path)
+            retained[dim] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(stream.frames) == n_frames
+        del stream
+    per_value = (retained[288] - retained[32]) / (n_frames * n_queries * (288 - 32))
+    assert per_value < 10, retained
+
+
+class TestWriter:
+    """Writers encode one line at a time into a temporary file beside the
+    target, which replaces the target only once every line is written."""
+
+    @staticmethod
+    def _failing_lines(lines: int):
+        """Objects whose encoding fails on the last line."""
+        return [{"line": n} for n in range(1, lines)] + [{"line": object()}]
+
+    def test_failure_on_a_later_line_keeps_the_target(self, tmp_path, bundle):
+        _, pred = bundle
+        path = tmp_path / "pred.jsonl"
+        io.write_stream(pred, path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            io._write_lines(path, self._failing_lines(3))
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_failure_leaves_no_new_file(self, tmp_path):
+        path = tmp_path / "new.jsonl"
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            io._write_lines(path, self._failing_lines(3))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_inside_a_writer_leaves_no_file(self, tmp_path, bundle):
+        _, pred = bundle
+        path = tmp_path / "pred.jsonl"
+        frames = pred.frames[:2] + ("not a frame",)
+        with pytest.raises(AttributeError):
+            io.write_stream(VideoStream(header=pred.header, frames=frames), path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name, error, message", [
+        ("missing/pred.jsonl", FileNotFoundError, "No such file or directory"),
+        ("adir", IsADirectoryError, "Is a directory"),
+    ], ids=["missing_directory", "directory"])
+    def test_os_error_names_the_target(self, tmp_path, bundle, name, error, message):
+        _, pred = bundle
+        (tmp_path / "adir").mkdir()
+        path = tmp_path / name
+        with pytest.raises(error, match=f"{message}: {re.escape(repr(str(path)))}$"):
+            io.write_stream(pred, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+        assert list((tmp_path / "adir").iterdir()) == []
+
+    def test_symlink_keeps_naming_the_file(self, tmp_path, bundle):
+        _, pred = bundle
+        (tmp_path / "real").mkdir()
+        (tmp_path / "real" / "pred.jsonl").write_text("old")
+        link = tmp_path / "pred.jsonl"
+        link.symlink_to(tmp_path / "real" / "pred.jsonl")
+        io.write_stream(pred, link)
+        assert link.is_symlink() and io.read_stream(tmp_path / "real" / "pred.jsonl") == pred
+        assert sorted(p.name for p in (tmp_path / "real").iterdir()) == ["pred.jsonl"]
+
+    @pytest.mark.parametrize("through_link", [False, True], ids=["fifo", "symlink_to_fifo"])
+    def test_fifo_is_fed_not_replaced(self, tmp_path, bundle, through_link):
+        _, pred = bundle
+        fifo = tmp_path / "pred.fifo"
+        os.mkfifo(fifo)
+        path = fifo
+        if through_link:
+            path = tmp_path / "pred.jsonl"
+            path.symlink_to(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        io.write_stream(pred, path)
+        reader.join(timeout=30)
+        assert not reader.is_alive(), "the FIFO's reader never saw the writer"
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert path.is_symlink() == through_link
+        expected = tmp_path / "expected.jsonl"
+        io.write_stream(pred, expected)
+        assert got == [expected.read_bytes()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            {"pred.fifo", "expected.jsonl", path.name})
+
+    def test_closed_directory_writes_in_place(self, tmp_path, bundle, monkeypatch):
+        """A file that can be written in a directory that takes no new files
+        is written into, as Path.write_text writes it."""
+        _, pred = bundle
+        path = tmp_path / "pred.jsonl"
+        path.write_text("old")
+        opened = Path.open
+
+        def open_no_new_files(self, mode="r", *args, **kwargs):
+            if "x" in mode:
+                raise PermissionError(13, "Permission denied", str(self))
+            return opened(self, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", open_no_new_files)
+        io.write_stream(pred, path)
+        monkeypatch.undo()
+        assert io.read_stream(path) == pred
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_error_from_the_objects_is_not_renamed(self, tmp_path):
+        def objs():
+            yield {"line": 1}
+            raise FileNotFoundError(2, "No such file or directory", "input.jsonl")
+
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(FileNotFoundError, match="'input.jsonl'$"):
+            io._write_lines(path, objs())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_lines(self, tmp_path):
+        path = tmp_path / "lines.jsonl"
+        io._write_lines(path, iter([{"a": 1.5}, [1, -0.0], "x"]))
+        assert path.read_text() == '{"a": 1.5}\n[1, -0.0]\n"x"\n'
+
+    @pytest.mark.parametrize("umask", [None, 0o022, 0o077, 0o002])
+    def test_new_file_mode_is_write_text_mode(self, tmp_path, bundle, umask):
+        _, pred = bundle
+        saved = os.umask(umask) if umask is not None else None
+        try:
+            (tmp_path / "reference").write_text("")
+            io.write_stream(pred, tmp_path / "pred.jsonl")
+        finally:
+            if saved is not None:
+                os.umask(saved)
+        mode = (tmp_path / "pred.jsonl").stat().st_mode
+        assert mode == (tmp_path / "reference").stat().st_mode
+
+    def test_existing_target_keeps_its_mode(self, tmp_path, bundle):
+        _, pred = bundle
+        path = tmp_path / "pred.jsonl"
+        path.write_text("old")
+        path.chmod(0o640)
+        io.write_stream(pred, path)
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert io.read_stream(path) == pred

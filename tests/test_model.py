@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import copy
+import pickle
+import re
+import struct
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +15,7 @@ from scopetrack.errors import DataError, DimensionError, MaskFormatError
 from scopetrack.model import (
     BBox,
     ClassDistribution,
+    Embedding,
     FramePrediction,
     GroundTruthFrame,
     GroundTruthObject,
@@ -251,6 +258,119 @@ class TestValidateStream:
                 box=BBox(0, 0, 1, 1),
                 classes=ClassDistribution((0.5,)),
             )
+
+
+def _bits(values) -> list[bytes]:
+    return [struct.pack("d", v) for v in values]
+
+
+# ints, floats (both zeros and the ends of the float range included) and numpy real scalars
+_EMBEDDING_VALUES = st.one_of(
+    st.integers(min_value=-(2 ** 64), max_value=2 ** 64),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1).map(np.int64),
+)
+
+
+class TestEmbedding:
+    """An Embedding holds packed float64 bytes and behaves as the tuple of its floats."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_EMBEDDING_VALUES, max_size=40))
+    def test_behaves_as_tuple_of_floats(self, values):
+        emb = Embedding(values)
+        want = tuple(float(v) for v in values)
+        assert len(emb) == len(want)
+        assert tuple(emb) == want and _bits(emb) == _bits(want)
+        assert _bits(emb[i] for i in range(-len(want), len(want))) == _bits(
+            want[i] for i in range(-len(want), len(want)))
+        assert emb[1:-1:2] == want[1:-1:2]
+        assert emb == want and emb == Embedding(want) and not emb != want
+        assert hash(emb) == hash(want)
+        assert repr(emb) == repr(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), max_size=40).map(
+            lambda values: np.array(values, dtype=np.float32)),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40).map(np.array),
+        st.lists(st.integers(-(2 ** 63), 2 ** 63 - 1), max_size=40).map(
+            lambda values: np.array(values, dtype=np.int64)),
+    ))
+    def test_numpy_arrays(self, array):
+        emb = Embedding(array)
+        want = tuple(float(v) for v in array)
+        assert emb == want and repr(emb) == repr(want) and hash(emb) == hash(want)
+        assert _bits(emb) == _bits(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_EMBEDDING_VALUES, max_size=40))
+    def test_packed_bytes_round_trip_every_bit(self, values):
+        emb = Embedding(values)
+        want = [float(v) for v in values]
+        assert emb.data == struct.pack(f"{len(want)}d", *want)
+        assert _bits(np.frombuffer(emb.data)) == _bits(want)
+        assert _bits(emb.astuple()) == _bits(want)
+        assert Embedding(emb).data == emb.data
+
+    def test_signed_zeros_equal(self):
+        pos, neg = Embedding([0.0, 1.0]), Embedding([-0.0, 1.0])
+        assert pos.data != neg.data
+        assert pos == neg and hash(pos) == hash(neg)
+        assert pos == (-0.0, 1.0) and neg == (0.0, 1)
+
+    def test_unequal(self):
+        emb = Embedding([1.0, 2.0])
+        assert emb != Embedding([1.0]) and emb != Embedding([2.0, 1.0])
+        assert emb != (1.0,) and emb != [1.0, 2.0] and emb != b""
+
+    @pytest.mark.parametrize("values, error, message", [
+        ([1.0, True], DataError, "embedding must be a number, got True"),
+        ([False], DataError, "embedding must be a number, got False"),
+        ([0.5, "0.5"], DataError, "embedding must be a number, got '0.5'"),
+        ([None], DataError, "embedding must be a number, got None"),
+        ([1.0, float("nan")], DimensionError, "embedding values must be finite"),
+        ([float("inf")], DimensionError, "embedding values must be finite"),
+        ([0.0, float("-inf")], DimensionError, "embedding values must be finite"),
+        (np.array([1.0, np.nan]), DimensionError, "embedding values must be finite"),
+    ], ids=["true", "false", "string", "null", "nan", "inf", "minus_inf", "numpy_nan"])
+    def test_rejected_values(self, values, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            Embedding(values)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            QuerySlot(embedding=values, box=BBox(0, 0, 1, 1), classes=ClassDistribution((0.5,)))
+
+    def test_integer_beyond_float_range(self):
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            Embedding([1.0, 10 ** 400])
+
+    def test_slot_keeps_a_packed_embedding(self):
+        slot = make_slot((1.0, 0.0, -0.0, 2.0))
+        assert type(slot.embedding) is Embedding
+        assert replace(slot, box=BBox(0, 0, 2, 2)).embedding is slot.embedding
+        assert QuerySlot(slot.embedding, slot.box, slot.classes).embedding is slot.embedding
+
+    def test_immutable(self):
+        emb = Embedding([1.0])
+        with pytest.raises(FrozenInstanceError):
+            emb.data = b"\0" * 8
+        with pytest.raises(FrozenInstanceError):
+            del emb.data
+        with pytest.raises(AttributeError):
+            emb.other = 1
+        assert emb == (1.0,)
+
+    def test_numpy_reads_it_as_a_sequence(self):
+        rows = np.asarray([Embedding([1.0, -0.0]), Embedding([2, 3])], dtype=np.float64)
+        assert rows.shape == (2, 2) and _bits(rows.ravel()) == _bits([1.0, -0.0, 2.0, 3.0])
+
+    def test_copies_and_pickles_keep_bits(self):
+        emb = Embedding([-0.0, 1e308, 5e-324])
+        for again in (copy.copy(emb), copy.deepcopy(emb), pickle.loads(pickle.dumps(emb))):
+            assert type(again) is Embedding and again.data == emb.data
 
 
 class TestNumberRule:

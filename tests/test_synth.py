@@ -63,6 +63,11 @@ class TestGenerate:
         with pytest.raises(CapacityError):
             generate(SynthConfig(n_objects=9, n_queries=8))
 
+    @pytest.mark.parametrize("n_objects", [0, 1])
+    def test_empty_class_set(self, n_objects):
+        with pytest.raises(DataError, match="^class set is empty$"):
+            generate(SynthConfig(n_objects=n_objects, classes=()))
+
     def test_bad_occlusion_window(self):
         with pytest.raises(DataError):
             generate(SynthConfig(n_objects=1, n_frames=10, occlusions=((0, 8, 5),)))
