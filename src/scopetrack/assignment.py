@@ -13,6 +13,7 @@ contract.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -186,24 +187,19 @@ def solve(m: CostMatrix) -> Assignment:
     return Assignment(pairs=pairs, total_cost=_pair_cost(m.values, pairs))
 
 
-_PERM_CACHE: dict[tuple[int, int], "np.ndarray"] = {}
-
-
+@functools.cache
 def _permutation_table(n: int, k: int) -> "np.ndarray":
-    key = (n, k)
-    if key not in _PERM_CACHE:
-        _PERM_CACHE[key] = np.asarray(
-            list(itertools.permutations(range(n), k)), dtype=np.intp
-        )
-    return _PERM_CACHE[key]
+    return np.asarray(list(itertools.permutations(range(n), k)), dtype=np.intp)
 
 
 def brute_force_solve(m: CostMatrix) -> Assignment:
     """Exhaustive oracle over all maximum matchings; same contract as solve.
 
-    Ties are arbitrated with exact rational sums so that matchings whose
-    float totals differ only by summation-order rounding still count as
-    cost-tied and fall through to the lexicographic rule.
+    A tall matrix is enumerated as its transpose, whose matchings are the
+    same pairs with the same elements summed. Ties are arbitrated with
+    exact rational sums so that matchings whose float totals differ only by
+    summation-order rounding still count as cost-tied and fall through to
+    the lexicographic rule.
     """
     n_rows, n_cols = m.rows, m.cols
     if min(n_rows, n_cols) == 0:
@@ -213,22 +209,16 @@ def brute_force_solve(m: CostMatrix) -> Assignment:
             f"brute force limited to min dimension 8, got {n_rows}x{n_cols}"
         )
     values = m.values
-    arr = np.asarray(values)
+    wide = n_rows <= n_cols
+    arr = np.asarray(values) if wide else np.asarray(values).T
     band = _RC_ATOL * max(1.0, float(np.abs(arr).max())) * min(n_rows, n_cols)
-    if n_rows <= n_cols:
-        perms = _permutation_table(n_cols, n_rows)
-        costs = arr[np.arange(n_rows), perms].sum(axis=1)
-        near = np.flatnonzero(costs <= costs.min() + band)
-        candidates = [
-            tuple(enumerate(int(c) for c in perms[i])) for i in near
-        ]
-    else:
-        perms = _permutation_table(n_rows, n_cols)
-        costs = arr[perms, np.arange(n_cols)].sum(axis=1)
-        near = np.flatnonzero(costs <= costs.min() + band)
-        candidates = [
-            tuple(sorted((int(r), c) for c, r in enumerate(perms[i])))
-            for i in near
-        ]
+    k, n = arr.shape
+    perms = _permutation_table(n, k)
+    costs = arr[np.arange(k), perms].sum(axis=1)
+    near = np.flatnonzero(costs <= costs.min() + band)
+    candidates = [
+        tuple(sorted(pair if wide else pair[::-1] for pair in enumerate(perms[i].tolist())))
+        for i in near
+    ]
     best_pairs = min(candidates, key=lambda pairs: (_exact_cost(values, pairs), pairs))
     return Assignment(pairs=best_pairs, total_cost=_pair_cost(values, best_pairs))

@@ -180,27 +180,12 @@ def _header_from(obj: Any) -> StreamHeader:
         raise StreamFormatError("first line is not a stream header")
     extra = {k: v for k, v in obj.items()
              if k not in _HEADER_KEYS and k not in ("version", "video_id")}
-    return StreamHeader(
-        n_queries=obj["n_queries"],
-        embed_dim=obj["embed_dim"],
-        frame_height=obj["frame_height"],
-        frame_width=obj["frame_width"],
-        classes=obj["classes"],
-        version=obj.get("version", 1),
-        video_id=obj.get("video_id", ""),
-        extra=extra,
-    )
+    return StreamHeader(**{k: obj[k] for k in _HEADER_KEYS}, version=obj.get("version", 1),
+                        video_id=obj.get("video_id", ""), extra=extra)
 
 
 def _header_obj(header: StreamHeader) -> dict:
-    obj = {
-        "version": header.version,
-        "n_queries": header.n_queries,
-        "embed_dim": header.embed_dim,
-        "frame_height": header.frame_height,
-        "frame_width": header.frame_width,
-        "classes": list(header.classes),
-    }
+    obj = {"version": header.version, **{k: getattr(header, k) for k in _HEADER_KEYS}}
     if header.video_id:
         obj["video_id"] = header.video_id
     obj.update(header.extra)
@@ -234,7 +219,7 @@ def _parse_mask(obj: Any) -> RleMask | None:
 def _mask_obj(mask: RleMask | None) -> dict | None:
     if mask is None:
         return None
-    return {"h": mask.height, "w": mask.width, "runs": list(mask.runs)}
+    return {"h": mask.height, "w": mask.width, "runs": mask.runs}
 
 
 def _parse_frame(obj: Any) -> FramePrediction:
@@ -260,8 +245,8 @@ def write_stream(stream: VideoStream, path: str | Path) -> None:
         "slots": [
             {
                 "embedding": s.embedding.astuple(),
-                "box": list(s.box.as_tuple()),
-                "probs": list(s.classes.probs),
+                "box": s.box.as_tuple(),
+                "probs": s.classes.probs,
                 "mask": _mask_obj(s.mask),
             }
             for s in frame.slots
@@ -294,7 +279,7 @@ def write_ground_truth(stream: GroundTruthStream, path: str | Path) -> None:
         "objects": [
             {
                 "gt_track_id": o.gt_track_id,
-                "box": list(o.box.as_tuple()),
+                "box": o.box.as_tuple(),
                 "mask": _mask_obj(o.mask),
                 "class": o.class_label,
             }
@@ -305,6 +290,7 @@ def write_ground_truth(stream: GroundTruthStream, path: str | Path) -> None:
 
 
 def _track_row(t: TrackSummary, mean_probs: tuple[float, ...]) -> dict:
+    # lists, not tuples: _parse_track_table compares this dict with the decoded row
     return {
         "track_id": t.track_id,
         "observations": [list(o) for o in t.observations],
@@ -330,7 +316,7 @@ def write_tracking(output: TrackingOutput, stream: VideoStream, path: str | Path
             {
                 "slot": slot,
                 "track_id": track_id,
-                "box": list(query.box.as_tuple()),
+                "box": query.box.as_tuple(),
                 "mask": _mask_obj(query.mask),
             }
             for (slot, track_id), query in zip(fa.assignments, queries)

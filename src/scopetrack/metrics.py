@@ -166,8 +166,7 @@ def pair_frames(gt: TrackedSequence, pred: TrackedSequence):
     return gt_counts, pr_counts, frames
 
 
-def _max_match(sims: np.ndarray, feasible: np.ndarray,
-               weights: np.ndarray) -> list[tuple[int, int]]:
+def _max_match(feasible: np.ndarray, weights: np.ndarray) -> list[tuple[int, int]]:
     """Match maximizing feasible-pair count first, then total weight.
 
     Infeasible pairs cost nothing, so the solver never prefers them over a
@@ -176,7 +175,7 @@ def _max_match(sims: np.ndarray, feasible: np.ndarray,
     strictly negative and the pairs are disjoint, so the optimum holds all
     of them and is returned without a solve, in the solver's row order.
     """
-    n_rows, n_cols = sims.shape
+    n_rows, n_cols = feasible.shape
     rows, cols = (idx.tolist() for idx in np.nonzero(feasible))
     if len(set(rows)) == len(rows) and len(set(cols)) == len(cols):
         return list(zip(rows, cols))
@@ -218,9 +217,7 @@ def hota_components(pairing):
         for at_alpha, feasible in zip(matched, sims >= thresholds[:, None, None]):
             key = feasible.tobytes()
             if key not in solved:
-                solved[key] = [
-                    flat_ids[r][c] for r, c in _max_match(sims, feasible, weights)
-                ]
+                solved[key] = [flat_ids[r][c] for r, c in _max_match(feasible, weights)]
             at_alpha.extend(solved[key])
 
     n_dets = sum(gt_counts) + sum(pr_counts)
@@ -279,7 +276,7 @@ def eval_mota(pairing, alpha: float = 0.5) -> float:
         if rest_g and rest_p:
             sub = sims[np.ix_(rest_g, rest_p)]
             feasible = sub >= alpha - ALPHA_MARGIN
-            for r, c in _max_match(sub, feasible, sub):
+            for r, c in _max_match(feasible, sub):
                 pairs.append((rest_g[r], rest_p[c]))
         prev_match = {}
         for i, j in pairs:

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DataError, DimensionError, MaskFormatError
 
 PROB_SLACK = 1e-9
-_NUMBER_TYPES = frozenset((int, float))
 
 
 def require_int(value, name: str) -> int:
@@ -35,13 +34,6 @@ def require_str(value, name: str) -> str:
     """value itself when it is a string; a number, list or null raises DataError."""
     if type(value) is not str:
         raise DataError(f"{name} must be a string, got {value!r}")
-    return value
-
-
-def require_number(value, name: str) -> float:
-    """value itself when it is an int or a float; a bool or string raises DataError."""
-    if type(value) not in _NUMBER_TYPES:
-        raise DataError(f"{name} must be a number, got {value!r}")
     return value
 
 
@@ -83,9 +75,11 @@ def require_range(value, name: str, low: float, high: float,
                   open_low: bool = False, open_high: bool = False) -> float:
     """value as a float when it is a number in the interval from low to high.
 
-    Each end is included unless marked open. NaN is in no interval.
+    Each end is included unless marked open. NaN is in no interval; a bool
+    or a string is not a number.
     """
-    require_number(value, name)
+    if type(value) not in (int, float):
+        raise DataError(f"{name} must be a number, got {value!r}")
     above = low < value if open_low else low <= value
     below = value < high if open_high else value <= high
     if not (above and below):

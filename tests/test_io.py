@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import gc
 import json
 import os
@@ -19,8 +20,9 @@ from hypothesis import strategies as st
 from scopetrack import io
 from scopetrack.errors import DataError, DimensionError, FrameAlignmentError, StreamFormatError
 from scopetrack.metrics import TrackedSequence
-from scopetrack.model import BBox, VideoStream
-from scopetrack.synth import SynthConfig, generate, scenario_config
+from scopetrack.model import (BBox, ClassDistribution, RleMask, VideoStream,
+                              validate_ground_truth, validate_stream)
+from scopetrack.synth import SCENARIO_NAMES, SynthConfig, generate, scenario_config
 from scopetrack.tracker import track_video
 
 
@@ -61,6 +63,39 @@ class TestStreamRoundTrip:
         path = tmp_path / "masked.jsonl"
         io.write_stream(pred, path)
         assert io.read_stream(path).frames == pred.frames
+
+
+_ROUND_TRIP_CASES = [(name, seed, masks) for name in SCENARIO_NAMES for seed in (1, 2)
+                     for masks in (False, True)]
+
+
+class TestByteRoundTrip:
+    """Reading a file and writing what was read gives the file's own bytes."""
+
+    @staticmethod
+    def _round_trip(tmp_path, gt, pred):
+        first, again = tmp_path / "first.jsonl", tmp_path / "again.jsonl"
+        for stream, read, write in ((pred, io.read_stream, io.write_stream),
+                                    (gt, io.read_ground_truth, io.write_ground_truth)):
+            write(stream, first)
+            write(read(first), again)
+            assert again.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("name, seed, masks", _ROUND_TRIP_CASES,
+                             ids=[f"{n}-seed{s}-{'masks' if m else 'boxes'}"
+                                  for n, s, m in _ROUND_TRIP_CASES])
+    def test_synth_streams(self, tmp_path, name, seed, masks):
+        self._round_trip(tmp_path, *generate(replace(scenario_config(name, seed),
+                                                     with_masks=masks)))
+
+    def test_header_with_video_id_version_and_extra_keys(self, tmp_path, bundle):
+        gt, pred = bundle
+        header = replace(pred.header, version=2, video_id="exam-7",
+                         extra={"site": "B", "scope": {"fps": 30, "ids": [1, 2]}, "z": None})
+        self._round_trip(tmp_path, replace(gt, header=header), replace(pred, header=header))
+        first = json.loads((tmp_path / "first.jsonl").read_text().splitlines()[0])
+        assert list(first) == ["version", "n_queries", "embed_dim", "frame_height",
+                               "frame_width", "classes", "video_id", "site", "scope", "z"]
 
 
 class TestTracksRoundTrip:
@@ -170,6 +205,15 @@ class TestMalformedFiles:
         with pytest.raises(StreamFormatError):
             io.read_stream(path)
 
+    def test_config_file_not_utf8(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"a": "\xff"}\n')
+        message = ("not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 7: "
+                   "invalid start byte")
+        with pytest.raises(StreamFormatError) as info:
+            io.load_json_object(path)
+        assert str(info.value) == f"{path}: {message}"
+
 
 class TestHeaderRules:
     """A header that breaks a size or class rule fails on line 1, in both
@@ -199,8 +243,58 @@ class TestHeaderRules:
         assert str(info.value) == f"{path}:1: {message}"
 
 
+_OFF_SIZE = RleMask(height=8, width=8, runs=(64,))
+
+
+class TestRecordRules:
+    """Each rule that spans a record and its header gives one exact message,
+    from validate_stream or validate_ground_truth and from the reader, which
+    prefixes the path."""
+
+    @pytest.mark.parametrize("kind, edit, message", [
+        ("stream", lambda slots: (replace(slots[0], mask=_OFF_SIZE),) + slots[1:],
+         "frame 0 slot 0: mask is 8x8, frame is 16x16"),
+        ("stream", lambda slots: (replace(slots[0], classes=ClassDistribution(
+            slots[0].classes.probs + (0.0,))),) + slots[1:],
+         "frame 0 slot 0: 3 class probs for 2 classes"),
+        ("ground_truth", lambda objs: (replace(objs[0], mask=_OFF_SIZE),) + objs[1:],
+         "gt frame 0: object 0: mask is 8x8, frame is 16x16"),
+        ("ground_truth", lambda objs: objs + objs[:1], "gt frame 0: duplicate gt_track_id 0"),
+        ("ground_truth", lambda objs: (replace(objs[0], class_label="SSL"),) + objs[1:],
+         "gt frame 0: unknown class 'SSL'"),
+    ], ids=["slot_mask_size", "class_probs_too_many", "object_mask_size",
+            "repeated_gt_track_id", "unknown_class"])
+    def test_rule_broken_in_frame_zero(self, tmp_path, kind, edit, message):
+        gt, pred = generate(SynthConfig(n_objects=1, n_frames=2, with_masks=True,
+                                        frame_height=16, frame_width=16, seed=3))
+        stream, field, validate, write, read = (
+            (pred, "slots", validate_stream, io.write_stream, io.read_stream)
+            if kind == "stream" else
+            (gt, "objects", validate_ground_truth, io.write_ground_truth, io.read_ground_truth))
+        first = stream.frames[0]
+        stream = replace(stream, frames=(replace(first, **{field: edit(getattr(first, field))}),)
+                         + stream.frames[1:])
+        assert validate(stream) == [message]
+        path = tmp_path / f"{kind}.jsonl"
+        write(stream, path)
+        with pytest.raises(StreamFormatError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: invalid stream: {message}"
+
+
 class TestFrameOrder:
     """Frame indices are >= 0 and strictly increasing in every file kind."""
+
+    def test_negative_stream_frame_rejected(self, tmp_path, bundle):
+        _, pred = bundle
+        path = tmp_path / "pred.jsonl"
+        io.write_stream(pred, path)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        lines[1]["frame_index"] = -1
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(DimensionError) as info:
+            io.read_stream(path)
+        assert str(info.value) == f"{path}:2: frame_index must be >= 0, got -1"
 
     def test_negative_ground_truth_frame_rejected(self, tmp_path, bundle):
         gt, _ = bundle
@@ -410,6 +504,22 @@ class TestWriter:
             io.write_stream(pred, path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
         assert list((tmp_path / "adir").iterdir()) == []
+
+    def test_failed_replace_names_the_target_and_keeps_it(self, tmp_path, bundle,
+                                                          monkeypatch):
+        _, pred = bundle
+        path = tmp_path / "pred.jsonl"
+        path.write_text("old")
+
+        def refuse(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link", str(src), str(dst))
+
+        monkeypatch.setattr(io.os, "replace", refuse)
+        with pytest.raises(OSError) as info:
+            io.write_stream(pred, path)
+        assert str(info.value) == f"[Errno {errno.EXDEV}] Invalid cross-device link: {str(path)!r}"
+        assert path.read_text() == "old"
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_symlink_keeps_naming_the_file(self, tmp_path, bundle):
         _, pred = bundle

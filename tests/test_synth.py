@@ -72,6 +72,18 @@ class TestGenerate:
         with pytest.raises(DataError):
             generate(SynthConfig(n_objects=1, n_frames=10, occlusions=((0, 8, 5),)))
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"n_objects": -1}, "need a non-negative object count and at least one frame"),
+        ({"n_frames": 0}, "need a non-negative object count and at least one frame"),
+        ({"occlusions": ((1, 0, 2),)}, "occlusion window names unknown object 1"),
+        ({"object_classes": ("AD", "HP")}, "object_classes must list one class per object"),
+        ({"embedding_drift": -0.5}, "embedding_drift must be >= 0"),
+    ])
+    def test_config_rule_message(self, fields, message):
+        with pytest.raises(DataError) as info:
+            generate(SynthConfig(**{"n_objects": 1, "n_frames": 10, **fields}))
+        assert str(info.value) == message
+
     def test_masks_when_requested(self):
         cfg = SynthConfig(n_objects=1, n_frames=3, seed=4, with_masks=True,
                           frame_height=32, frame_width=32)
@@ -82,6 +94,11 @@ class TestGenerate:
 
 
 class TestScenarios:
+    def test_unknown_scenario(self):
+        with pytest.raises(DataError) as info:
+            scenario_config("blurry", 1)
+        assert str(info.value) == f"unknown scenario 'blurry'; choose from {SCENARIO_NAMES}"
+
     def test_large_motion_box_iou_zero_every_step(self):
         gt, _ = generate(scenario_config("large_motion", 7))
         by_track: dict[int, list] = {}

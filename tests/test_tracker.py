@@ -114,6 +114,15 @@ class TestTrackVideo:
         out = track_video(VideoStream(header=header, frames=()))
         assert out.frames == () and out.tracks == ()
 
+    @pytest.mark.parametrize("tracker", [track_video, iou_baseline_track])
+    def test_stream_that_breaks_its_header(self, header, tracker):
+        stream = make_stream(header, [[make_slot(unit_vec(0))],
+                                      [make_slot(unit_vec(0)), make_slot((1.0, 0.0))]])
+        with pytest.raises(DataError) as info:
+            tracker(stream)
+        assert str(info.value) == ("invalid stream: frame 0: 1 slots, header declares N=2; "
+                                   "frame 1 slot 1: embedding length 2 != C=4")
+
     def test_single_frame_birth_order(self, header):
         stream = make_stream(header, [[make_slot(unit_vec(0)), make_slot(unit_vec(1))]])
         out = track_video(stream)
