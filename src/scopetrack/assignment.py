@@ -30,7 +30,7 @@ _INF = float("inf")
 _RC_ATOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostMatrix:
     """Dense rows x cols matrix of finite costs, each an int or a float."""
 
@@ -56,7 +56,7 @@ class CostMatrix:
         return len(self.values[0]) if self.values else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assignment:
     """Injective row->col matching of size min(rows, cols)."""
 

@@ -183,7 +183,7 @@ def _cmd_eval_track(args, file_cfg: dict) -> int:
 def _cmd_report(args, file_cfg: dict) -> int:
     fmt = _pick(args.format, file_cfg, "format", "text")
     min_frames = _pick(args.min_frames, file_cfg, "min_frames", 1, require_int)
-    tracking, _ = io.read_tracking(args.tracks)
+    tracking = io.read_tracking(args.tracks)[0]
     stream = io.read_stream(args.stream)
     exam = report_mod.generate_report(tracking, stream, min_frames=min_frames)
     sys.stdout.buffer.write(report_mod.render_report(exam, fmt))

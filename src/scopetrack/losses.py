@@ -39,7 +39,7 @@ DICE_EPS = 1.0
 PROB_CLAMP = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LossWeights:
     """Loss and matching-cost coefficients (DETR-family defaults)."""
 

@@ -38,7 +38,7 @@ ALPHA_MARGIN = 1e-12
 MATCH_IOU = 0.5  # box IoU a detection needs to match an object in eval-det
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetEvalResult:
     dice: float
     iou: float
@@ -49,7 +49,7 @@ class DetEvalResult:
     fn: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackEvalResult:
     hota: float
     deta: float
@@ -58,14 +58,14 @@ class TrackEvalResult:
     idf1: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackedDet:
     track_id: int
     box: BBox
     mask: RleMask | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackedSequence:
     """Per-frame tracked detections, aligned by explicit frame indices."""
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from itertools import accumulate, chain
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -148,7 +148,7 @@ class Embedding:
         return (Embedding, (self.astuple(),))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BBox:
     """Axis-aligned box in absolute pixel coordinates, x1y1x2y2."""
 
@@ -160,7 +160,7 @@ class BBox:
     def __post_init__(self) -> None:
         raw = (self.x1, self.y1, self.x2, self.y2)
         coords = require_floats(raw, "box")
-        if coords is not raw:  # object.__setattr__ keeps the instance dict key-shared
+        if coords is not raw:  # the same tuple back means every field already holds a float
             for name, value in zip(("x1", "y1", "x2", "y2"), coords):
                 object.__setattr__(self, name, value)
         if self.x1 > self.x2 or self.y1 > self.y2:
@@ -186,7 +186,7 @@ class BBox:
         return (self.x1, self.y1, self.x2, self.y2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RleMask:
     """Binary mask as row-major run lengths, first run is background.
 
@@ -232,7 +232,7 @@ class RleMask:
         return list(zip(ends[0::2], ends[1::2]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassDistribution:
     """Foreground class probabilities; the leftover mass means 'no object'."""
 
@@ -256,7 +256,7 @@ class ClassDistribution:
         return self.probs.index(self.max_prob) if self.probs else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuerySlot:
     """One object-query slot: embedding plus its decoded head outputs.
 
@@ -277,7 +277,7 @@ class QuerySlot:
         return self.classes.max_prob < tau
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FramePrediction:
     """All N query slots of one frame."""
 
@@ -291,7 +291,7 @@ class FramePrediction:
             raise DimensionError(f"frame_index must be >= 0, got {self.frame_index}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruthObject:
     """One annotated object with a stable ground-truth track identity."""
 
@@ -305,7 +305,7 @@ class GroundTruthObject:
         require_str(self.class_label, "class")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruthFrame:
     frame_index: int
     objects: tuple[GroundTruthObject, ...]
@@ -315,10 +315,11 @@ class GroundTruthFrame:
         object.__setattr__(self, "frame_index", require_int(self.frame_index, "frame_index"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamHeader:
     """First line of every stream file; fixes N, C, H, W (each at least 1) and
-    the class set (not empty, no class twice)."""
+    the class set (not empty, no class twice). extra holds the line's other
+    keys, none named like a field."""
 
     n_queries: int
     embed_dim: int
@@ -347,9 +348,12 @@ class StreamHeader:
                             f"{self.frame_height}x{self.frame_width}")
         if not classes:
             raise DataError("class set is empty")
+        clash = sorted(self.extra.keys() & ({f.name for f in fields(self)} - {"extra"}))
+        if clash:  # the writer puts extra's keys after the fields, over them
+            raise DataError(f"extra header keys name header fields: {clash}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VideoStream:
     header: StreamHeader
     frames: tuple[FramePrediction, ...]
@@ -358,7 +362,7 @@ class VideoStream:
         object.__setattr__(self, "frames", tuple(self.frames))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruthStream:
     header: StreamHeader
     frames: tuple[GroundTruthFrame, ...]

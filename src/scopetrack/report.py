@@ -19,7 +19,7 @@ from .tracker import FrameAssignments, TrackingOutput, assigned_slots
 _COLUMNS = ("ID", "Type", "Conf", "Fr.Ct.", "1st.Fr.", "Last Fr.")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolypReportEntry:
     polyp_id: int
     polyp_type: str
@@ -29,7 +29,7 @@ class PolypReportEntry:
     last_frame: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExamReport:
     video_id: str
     entries: tuple[PolypReportEntry, ...]

@@ -37,7 +37,7 @@ _FG_PROB = 0.9
 _OTHER_PROB = 0.02
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SynthConfig:
     n_objects: int = 3
     n_frames: int = 60
@@ -165,9 +165,7 @@ def generate(cfg: SynthConfig) -> tuple[GroundTruthStream, VideoStream]:
         for i in range(cfg.n_objects):
             e1, e2 = planes[i]
             theta = float(angles[i][t])
-            embedding = tuple(
-                float(x) for x in math.cos(theta) * e1 + math.sin(theta) * e2
-            )
+            embedding = (math.cos(theta) * e1 + math.sin(theta) * e2).tolist()
             if (i, t) in hidden:
                 slots[slot_of(i, t)] = QuerySlot(
                     embedding=embedding, box=degenerate, classes=empty_probs, mask=None,
@@ -193,7 +191,7 @@ def generate(cfg: SynthConfig) -> tuple[GroundTruthStream, VideoStream]:
             if slots[j] is None:
                 noise = _unit(noise_rng.normal(size=cfg.embed_dim))
                 slots[j] = QuerySlot(
-                    embedding=tuple(float(x) for x in noise),
+                    embedding=noise.tolist(),
                     box=degenerate, classes=empty_probs, mask=None,
                 )
         gt_frames.append(GroundTruthFrame(frame_index=t, objects=tuple(objects)))

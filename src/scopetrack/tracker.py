@@ -28,7 +28,7 @@ from .model import (FramePrediction, QuerySlot, VideoStream, require_int, requir
 _ZERO_NORM = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackerConfig:
     """Knobs of the association stage.
 
@@ -55,7 +55,7 @@ class TrackerConfig:
             require_range(self.similarity_floor, "similarity_floor", -math.inf, math.inf)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackRecord:
     track_id: int
     # the key of the slot the track last took: the bytes of its float64 unit
@@ -64,19 +64,19 @@ class TrackRecord:
     empty_streak: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackState:
     live: tuple[TrackRecord, ...] = ()
     next_id: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameAssignments:
     frame_index: int
     assignments: tuple[tuple[int, int], ...]  # (slot, track_id), sorted by slot
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackSummary:
     track_id: int
     observations: tuple[tuple[int, int], ...]  # (frame index, slot), in frame order
@@ -104,7 +104,7 @@ def track_table(frames: Sequence[FrameAssignments]) -> tuple[TrackSummary, ...]:
                  for track_id in sorted(observations))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackingOutput:
     frames: tuple[FrameAssignments, ...]
     tracks: tuple[TrackSummary, ...] = field(init=False)  # read off frames once, when built

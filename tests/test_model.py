@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import pickle
 import re
 import struct
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scopetrack import assignment, losses, metrics, model, report, synth, tracker
 from scopetrack.errors import DataError, DimensionError, MaskFormatError
 from scopetrack.model import (
     BBox,
@@ -19,9 +21,11 @@ from scopetrack.model import (
     FramePrediction,
     GroundTruthFrame,
     GroundTruthObject,
+    GroundTruthStream,
     QuerySlot,
     RleMask,
     StreamHeader,
+    VideoStream,
     box_iou,
     intervals_overlap,
     mask_iou,
@@ -432,6 +436,60 @@ class TestNumberRule:
         assert all(type(v) is int for v in (mask.height, mask.width, *mask.runs))
 
 
+def _slotted_samples() -> list:
+    """One instance of each slotted record type, its fields filled in."""
+    box, mask = BBox(0.0, 1.0, 2.0, 3.0), RleMask(2, 2, (1, 3))
+    slot = QuerySlot(Embedding([1.0, -0.0]), box, ClassDistribution((0.25, 0.5)), mask)
+    header = StreamHeader(1, 2, 2, 2, ("AD", "HP"), version=2, video_id="v",
+                          extra={"site": ["B"]})
+    gt_object = GroundTruthObject(3, box, "HP", mask)
+    frames = (tracker.FrameAssignments(0, ((0, 7),)), tracker.FrameAssignments(2, ((0, 7),)))
+    entry = report.PolypReportEntry(7, "HP", 0.5, 2, 0, 2)
+    return [
+        box, mask, slot.classes, slot, FramePrediction(0, (slot,)), gt_object,
+        GroundTruthFrame(0, (gt_object,)), header,
+        VideoStream(header, (FramePrediction(0, (slot,)),)),
+        GroundTruthStream(header, (GroundTruthFrame(0, (gt_object,)),)),
+        tracker.TrackerConfig(similarity_floor=0.25), tracker.TrackRecord(7, b"key", 1),
+        tracker.TrackState((tracker.TrackRecord(7, slot),), 8), frames[0],
+        tracker.TrackSummary(7, ((0, 0), (2, 0))),
+        tracker.TrackingOutput(frames, config={"death_patience": 5}),
+        metrics.DetEvalResult(0.5, 0.25, 1.0, 0.5, 1, 0, 1),
+        metrics.TrackEvalResult(0.5, 0.5, 0.5, 0.25, 0.75),
+        metrics.TrackedDet(7, box, mask),
+        metrics.TrackedSequence((0,), ((metrics.TrackedDet(7, box),),)),
+        assignment.CostMatrix(((1.0, 2), (0.5, -1.0))),
+        assignment.Assignment(((0, 1), (1, 0)), 1.5),
+        entry, report.ExamReport("v", (entry,), {"min_frames": 1}),
+        synth.SynthConfig(occlusions=((0, 1, 2),)), losses.LossWeights(w_cls=1.0),
+    ]
+
+
+def test_every_frozen_record_type_but_loss_breakdown_is_sampled():
+    frozen = {cls for module in (assignment, losses, metrics, model, report, synth, tracker)
+              for cls in vars(module).values()
+              if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+              and cls.__dataclass_params__.frozen}
+    assert frozen - {type(sample) for sample in _slotted_samples()} == {losses.LossBreakdown}
+
+
+@pytest.mark.parametrize("sample", _slotted_samples(), ids=lambda sample: type(sample).__name__)
+def test_slotted_record_type(sample):
+    """No instance dict; fields stay frozen; copies, pickles, replace and
+    asdict keep every field, the init=False ones (ClassDistribution.max_prob,
+    TrackingOutput.tracks) included."""
+    assert not hasattr(sample, "__dict__")
+    name = dataclasses.fields(sample)[0].name
+    with pytest.raises(FrozenInstanceError):
+        setattr(sample, name, getattr(sample, name))
+    for again in (copy.copy(sample), copy.deepcopy(sample),
+                  pickle.loads(pickle.dumps(sample)), replace(sample)):
+        assert type(again) is type(sample) and again == sample
+        for f in dataclasses.fields(sample):
+            assert getattr(again, f.name) == getattr(sample, f.name), f.name
+        assert dataclasses.asdict(again) == dataclasses.asdict(sample)
+
+
 class TestRecordFields:
     """The record types check their own integer and string fields: numpy
     integers are held as ints, anything else raises DataError naming the
@@ -476,6 +534,9 @@ class TestRecordFields:
         ("frame_width", -1, "frame size must be positive, got 4x-1"),
         ("classes", (), "class set is empty"),
         ("classes", [], "class set is empty"),
+        ("extra", {"n_queries": 3}, "extra header keys name header fields: ['n_queries']"),
+        ("extra", {"z": 0, "version": 2, "classes": []},
+         "extra header keys name header fields: ['classes', 'version']"),
     ])
     def test_bad_header_fields_rejected(self, field, value, message):
         fields = dict(n_queries=1, embed_dim=2, frame_height=4, frame_width=4,
